@@ -11,6 +11,7 @@ from .channels import (
     KrausSet,
     NoiseChannel,
     apply_channel,
+    dephased_fidelity,
     kraus_set,
     oun_channel,
     oun_kernel,
@@ -18,7 +19,7 @@ from .channels import (
     rtn_kernel,
     weyl_operator,
 )
-from .evolution import EvolutionRecord, evolve_density, evolve_pure, noisy_state, walk_history
+from .evolution import evolve_pure
 from .fidelity import fidelity_density, fidelity_pure, fidelity_pure_target
 from .graphs import (
     DirectedEdgeSpace,
@@ -33,7 +34,7 @@ from .graphs import (
     standard_family,
     star_graph,
 )
-from .linalg import hermitian_eig, is_unitary, matmul, psd_sqrt
+from .linalg import hermitian_eig, is_unitary, psd_sqrt
 from .operators import (
     WalkOperators,
     WalkSpec,
@@ -69,7 +70,6 @@ __all__ = [
     "edge_space",
     "parse_graph_file",
     "load_graph_file",
-    "matmul",
     "is_unitary",
     "hermitian_eig",
     "psd_sqrt",
@@ -91,11 +91,8 @@ __all__ = [
     "oun_channel",
     "kraus_set",
     "apply_channel",
-    "EvolutionRecord",
+    "dephased_fidelity",
     "evolve_pure",
-    "evolve_density",
-    "noisy_state",
-    "walk_history",
     "fidelity_pure",
     "fidelity_density",
     "fidelity_pure_target",

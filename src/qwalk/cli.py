@@ -1,4 +1,8 @@
-"""Command-line interface: run scenarios, the bundled suite, operator dumps."""
+"""Command-line interface: run scenarios, the bundled suite, operator dumps.
+
+Exit codes: 0 on success, 2 for invalid input or an I/O failure, 3 for an
+internal error (a failed numerical cross-check or operator invariant).
+"""
 
 from __future__ import annotations
 
@@ -159,6 +163,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # A failed cross-check or operator invariant: a defect, not bad input.
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,41 +1,24 @@
-"""Time evolution of the walker, with and without noise.
+"""Time evolution of the walker.
 
-The noiseless walk iterates the step unitary on the state. Noise is a
-single channel application at readout time ``t`` on the noiselessly
-evolved density matrix; it is not compounded step by step, so the noisy
-state at time ``t`` depends on ``t`` only through the unitary evolution
-and the kernel value ``kappa(t)``.
+The walk iterates the step unitary on the state. Noise never enters the
+evolution: it is a single channel application at readout time ``t`` on
+the noiselessly evolved state, so the noisy fidelity at ``t`` depends on
+``t`` only through ``psi_t`` and the kernel value ``kappa(t)``. Its closed
+form, ``(1 + kappa)/2 |<phi|psi_t>|^2 + (1 - kappa)/2 |<phi|Z psi_t>|^2``,
+is :func:`qwalk.channels.dephased_fidelity`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channels import NoiseChannel, apply_channel, kraus_set
-from .linalg import check_density
 from .operators import WalkOperators
 
 __all__ = [
-    "EvolutionRecord",
     "evolve_pure",
-    "evolve_density",
-    "noisy_state",
-    "walk_history",
 ]
 
 _NORM_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class EvolutionRecord:
-    """State of the walk after ``step`` steps; ``noisy_density`` only with noise."""
-
-    step: int
-    pure_state: np.ndarray
-    density: np.ndarray
-    noisy_density: np.ndarray | None = None
 
 
 def _check_state(ops: WalkOperators, psi) -> np.ndarray:
@@ -56,54 +39,3 @@ def evolve_pure(ops: WalkOperators, psi0, t: int) -> np.ndarray:
     for _ in range(t):
         psi = ops.unitary @ psi
     return psi
-
-
-def evolve_density(ops: WalkOperators, rho0, t: int) -> np.ndarray:
-    """Conjugate a density matrix by the step unitary ``t`` times."""
-    if t < 0:
-        raise ValueError(f"step count must be nonnegative, got {t}")
-    rho = check_density(rho0, dim=ops.dim)
-    u_dag = ops.unitary.conj().T
-    for _ in range(t):
-        rho = ops.unitary @ rho @ u_dag
-    return rho
-
-
-def noisy_state(ops: WalkOperators, psi0, channel: NoiseChannel, t: int) -> np.ndarray:
-    """Density matrix after ``t`` noiseless steps followed by one channel pass.
-
-    The channel is evaluated at time ``t`` (walk steps and channel time
-    share the same clock) and applied once to ``|psi_t><psi_t|``.
-    """
-    if channel.dim != ops.dim:
-        raise ValueError(f"channel dimension {channel.dim} != walk dimension {ops.dim}")
-    psi_t = evolve_pure(ops, psi0, t)
-    rho_t = np.outer(psi_t, psi_t.conj())
-    return apply_channel(rho_t, kraus_set(channel, t))
-
-
-def walk_history(
-    ops: WalkOperators,
-    psi0,
-    steps: int,
-    channel: NoiseChannel | None = None,
-) -> list[EvolutionRecord]:
-    """Record the walk at every step ``0 .. steps`` in a single pass.
-
-    Each record holds the pure state, its density matrix and, when a
-    channel is given, the noisy density at that step. Keeping the full
-    per-step states lets callers evaluate any fidelity afterwards without
-    re-running the walk.
-    """
-    if steps < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
-    if channel is not None and channel.dim != ops.dim:
-        raise ValueError(f"channel dimension {channel.dim} != walk dimension {ops.dim}")
-    psi = _check_state(ops, psi0)
-    records: list[EvolutionRecord] = []
-    for t in range(steps + 1):
-        rho = np.outer(psi, psi.conj())
-        noisy = apply_channel(rho, kraus_set(channel, t)) if channel is not None else None
-        records.append(EvolutionRecord(step=t, pure_state=psi, density=rho, noisy_density=noisy))
-        psi = ops.unitary @ psi
-    return records

@@ -14,7 +14,6 @@ __all__ = [
     "PSD_EIGENVALUE_FLOOR",
     "SQRT_RESIDUAL_ATOL",
     "DENSITY_TRACE_ATOL",
-    "matmul",
     "is_unitary",
     "hermitian_eig",
     "psd_sqrt",
@@ -34,15 +33,6 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
     return a
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def is_unitary(m, tol: float = UNITARY_ATOL) -> bool:

@@ -113,11 +113,11 @@ def walk_unitary(spec: WalkSpec) -> WalkOperators:
     unitary = shift @ coin
     eye = np.eye(spec.space.dim)
     if float(np.abs(coin @ coin - eye).max()) > UNITARY_ATOL:
-        raise RuntimeError("internal error: coin operator is not an involution")
+        raise RuntimeError("coin operator is not an involution")
     if float(np.abs(shift @ shift - eye).max()) > UNITARY_ATOL:
-        raise RuntimeError("internal error: shift operator is not an involution")
+        raise RuntimeError("shift operator is not an involution")
     if not is_unitary(unitary, UNITARY_ATOL):
-        raise RuntimeError("internal error: step operator is not unitary")
+        raise RuntimeError("step operator is not unitary")
     for a in (coin, shift, unitary):
         a.flags.writeable = False
     return WalkOperators(coin=coin, shift=shift, unitary=unitary)

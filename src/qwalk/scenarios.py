@@ -25,11 +25,15 @@ from .channels import (
     RTN_DEFAULT_A,
     RTN_DEFAULT_GAMMA,
     NoiseChannel,
+    apply_channel,
+    dephased_fidelity,
+    kraus_set,
     oun_channel,
+    oun_kernel,
     rtn_channel,
+    rtn_kernel,
 )
-from .evolution import walk_history
-from .fidelity import fidelity_density, fidelity_pure, fidelity_pure_target
+from .fidelity import fidelity_density, fidelity_pure
 from .graphs import Graph, load_graph_file, standard_family
 from .operators import RECEIVER_MODES, receiver_state, sender_state, walk_spec, walk_unitary
 
@@ -49,8 +53,8 @@ __all__ = [
 MODES = ("transfer", "periodicity")
 NOISE_KINDS = ("none", "rtn", "oun")
 
-# The pure-target fidelity shortcut is cross-checked against the general
-# density formula every this many steps.
+# The closed-form noisy fidelity is cross-checked against the dense Kraus
+# channel and the general density formula every this many steps.
 _CROSS_CHECK_STRIDE = 25
 _CROSS_CHECK_ATOL = 1e-9
 
@@ -96,6 +100,12 @@ class Scenario:
                 )
         elif self.receiver is None:
             raise ValueError("transfer mode requires a receiver vertex")
+        # One kernel evaluation rejects bad noise parameters (including the
+        # RTN regime a/gamma <= 0.5) before any graph or operator is built.
+        if self.noise == "rtn":
+            rtn_kernel(0.0, self.rtn_a, self.rtn_gamma)
+        elif self.noise == "oun":
+            oun_kernel(0.0, self.oun_lambda, self.oun_gamma)
 
 
 @dataclass(frozen=True)
@@ -141,40 +151,49 @@ def _scenario_channel(sc: Scenario, dim: int) -> NoiseChannel | None:
 
 
 def run_scenario(sc: Scenario) -> FidelitySeries:
-    """Run one scenario and collect its fidelity series.
+    """Run one scenario and collect its fidelity series in one streaming pass.
 
-    At every step the noiseless fidelity is the pure-state overlap with
-    the target; with noise, the noisy fidelity is ``<target|rho'|target>``,
-    cross-checked on a subsample of steps against the general
-    density-matrix formula.
+    Only the current state ``psi_t`` is kept. At every step the noiseless
+    fidelity is ``|<target|psi_t>|^2``; with noise, the noisy fidelity is the
+    closed form ``(1 + kappa(t))/2 |<target|psi_t>|^2 + (1 - kappa(t))/2
+    |<target|Z psi_t>|^2`` (:func:`~qwalk.channels.dephased_fidelity`). Every
+    ``_CROSS_CHECK_STRIDE`` steps it is checked against the dense route: the
+    Kraus channel applied to ``|psi_t><psi_t|`` and the general
+    density-matrix fidelity. A mismatch raises ``RuntimeError``.
     """
     graph = scenario_graph(sc)
     spec = walk_spec(graph, sc.sender, sc.receiver)
     ops = walk_unitary(spec)
-    initial = sender_state(spec)
+    psi = sender_state(spec)
     if sc.mode == "periodicity":
         target = sender_state(spec)
     else:
         target = receiver_state(spec, sc.receiver_mode)
     channel = _scenario_channel(sc, spec.space.dim)
 
-    records = walk_history(ops, initial, sc.steps, channel)
-    noiseless = np.array([fidelity_pure(r.pure_state, target) for r in records])
-    if channel is None:
-        return FidelitySeries(noiseless=noiseless)
-
-    target_density = np.outer(target, target.conj())
-    noisy = np.empty_like(noiseless)
-    for r in records:
-        noisy[r.step] = fidelity_pure_target(r.noisy_density, target)
-        if r.step % _CROSS_CHECK_STRIDE == 0:
-            full = fidelity_density(r.noisy_density, target_density)
-            if abs(full - noisy[r.step]) > _CROSS_CHECK_ATOL:
-                raise RuntimeError(
-                    f"fidelity cross-check failed at t={r.step}: "
-                    f"shortcut {noisy[r.step]:.12g} vs general {full:.12g}"
-                )
+    noiseless = np.empty(sc.steps + 1)
+    noisy = None if channel is None else np.empty(sc.steps + 1)
+    for t in range(sc.steps + 1):
+        if t > 0:
+            psi = ops.unitary @ psi
+        noiseless[t] = fidelity_pure(psi, target)
+        if channel is None:
+            continue
+        noisy[t] = dephased_fidelity(channel, t, psi, target)
+        if t % _CROSS_CHECK_STRIDE == 0:
+            _cross_check(channel, t, psi, target, noisy[t])
     return FidelitySeries(noiseless=noiseless, noisy=noisy)
+
+
+def _cross_check(channel: NoiseChannel, t: int, psi: np.ndarray, target: np.ndarray,
+                 closed_form: float) -> None:
+    rho = apply_channel(np.outer(psi, psi.conj()), kraus_set(channel, t))
+    dense = fidelity_density(rho, np.outer(target, target.conj()))
+    if abs(dense - closed_form) > _CROSS_CHECK_ATOL:
+        raise RuntimeError(
+            f"fidelity cross-check failed at t={t}: "
+            f"closed form {closed_form:.12g} vs dense {dense:.12g}"
+        )
 
 
 def _family(graph: str, size: tuple[int, ...], s: int, r: int | None, mode: str) -> Scenario:

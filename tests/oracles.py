@@ -2,12 +2,20 @@
 
 Everything here deliberately avoids the code paths under test: products
 are computed with explicit loops, evolution with explicit matrix powers,
-and matrix square roots via scipy's Schur-based algorithm.
+and matrix square roots via scipy's Schur-based algorithm. The dense
+density-matrix routes (``evolve_density``, ``noisy_state``) build the
+channel output as a ``dim x dim`` matrix, which the library's closed-form
+noisy fidelity never does.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from qwalk.channels import NoiseChannel, apply_channel, kraus_set
+from qwalk.evolution import evolve_pure
+from qwalk.linalg import check_density
+from qwalk.operators import WalkOperators
 
 
 def naive_matmul(a, b) -> np.ndarray:
@@ -32,6 +40,30 @@ def power_evolved(unitary, psi0, t: int) -> np.ndarray:
     return np.linalg.matrix_power(np.asarray(unitary, dtype=complex), t) @ np.asarray(
         psi0, dtype=complex
     )
+
+
+def evolve_density(ops: WalkOperators, rho0, t: int) -> np.ndarray:
+    """Conjugate a density matrix by the step unitary ``t`` times."""
+    if t < 0:
+        raise ValueError(f"step count must be nonnegative, got {t}")
+    rho = check_density(rho0, dim=ops.dim)
+    u_dag = ops.unitary.conj().T
+    for _ in range(t):
+        rho = ops.unitary @ rho @ u_dag
+    return rho
+
+
+def noisy_state(ops: WalkOperators, psi0, channel: NoiseChannel, t: int) -> np.ndarray:
+    """Density matrix after ``t`` noiseless steps followed by one channel pass.
+
+    The channel is evaluated at time ``t`` (walk steps and channel time
+    share the same clock) and applied once to ``|psi_t><psi_t|``.
+    """
+    if channel.dim != ops.dim:
+        raise ValueError(f"channel dimension {channel.dim} != walk dimension {ops.dim}")
+    psi_t = evolve_pure(ops, psi0, t)
+    rho_t = np.outer(psi_t, psi_t.conj())
+    return apply_channel(rho_t, kraus_set(channel, t))
 
 
 def uhlmann_fidelity_scipy(rho, sigma) -> float:

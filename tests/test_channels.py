@@ -9,6 +9,7 @@ import pytest
 from qwalk.channels import (
     NoiseChannel,
     apply_channel,
+    dephased_fidelity,
     kraus_set,
     oun_channel,
     oun_kernel,
@@ -177,6 +178,22 @@ def test_kraus_weights_sum_to_one():
 def test_kraus_rejects_kernel_outside_unit_interval():
     with pytest.raises(ValueError, match="invalid kernel"):
         kraus_set(stub_channel(4, 1.5), 3.0)
+    with pytest.raises(ValueError, match="invalid kernel"):
+        dephased_fidelity(stub_channel(4, 1.5), 3.0, np.eye(4)[0], np.eye(4)[0])
+
+
+def test_dephased_fidelity_on_plus_state():
+    # |+> keeps weight (1 + kappa)/2 on itself; Z|+> = |-> is orthogonal to it
+    plus = np.ones(2, dtype=complex) / np.sqrt(2.0)
+    for kappa in (1.0, 0.3, 0.0, -0.6):
+        assert abs(dephased_fidelity(stub_channel(2, kappa), 1.0, plus, plus) - (1 + kappa) / 2) < 1e-15
+
+
+def test_dephased_fidelity_rejects_dimension_mismatch():
+    with pytest.raises(ValueError, match="expected"):
+        dephased_fidelity(rtn_channel(4), 1.0, np.eye(3)[0], np.eye(4)[0])
+    with pytest.raises(ValueError, match="expected"):
+        dephased_fidelity(rtn_channel(4), 1.0, np.eye(4)[0], np.eye(3)[0])
 
 
 def test_apply_channel_identity_at_time_zero():

@@ -138,3 +138,38 @@ def test_dump_operators_requires_size_for_families(tmp_path, capsys):
     )
     assert code == 2
     assert "requires --size" in capsys.readouterr().err
+
+
+def test_run_rejects_rtn_regime_before_building(tmp_path, capsys, monkeypatch):
+    import qwalk.scenarios
+
+    def unreachable(*args):
+        raise AssertionError("the graph was built before the regime was checked")
+
+    monkeypatch.setattr(qwalk.scenarios, "scenario_graph", unreachable)
+    code = main(
+        [
+            "run", "--graph", "path", "--size", "5", "--sender", "0", "--receiver", "4",
+            "--noise", "rtn", "--rtn-a", "0.004", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "a/gamma" in err
+
+
+def test_run_reports_internal_error_with_exit_three(tmp_path, capsys, monkeypatch):
+    import qwalk.scenarios
+
+    monkeypatch.setattr(qwalk.scenarios, "fidelity_density", lambda rho, sigma: 0.5)
+    code = main(
+        [
+            "run", "--graph", "cycle", "--size", "6", "--sender", "0", "--receiver", "3",
+            "--noise", "rtn", "--steps", "4", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: fidelity cross-check failed at t=0")
+    assert "Traceback" not in err

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qwalk.channels import oun_channel, rtn_channel
-from qwalk.evolution import evolve_density, evolve_pure, noisy_state, walk_history
+from qwalk.evolution import evolve_pure
 from qwalk.fidelity import fidelity_pure, fidelity_pure_target
 from qwalk.graphs import cycle_graph, path_graph, star_graph
 from qwalk.operators import receiver_state, sender_state, walk_spec, walk_unitary
 
-from .oracles import power_evolved
+from .oracles import evolve_density, noisy_state, power_evolved
 
 
 @pytest.fixture(scope="module")
@@ -141,21 +141,3 @@ def test_noisy_state_rejects_dimension_mismatch(p5_transfer):
     spec, ops = p5_transfer
     with pytest.raises(ValueError, match="dimension"):
         noisy_state(ops, sender_state(spec), rtn_channel(12), 3)
-
-
-def test_walk_history_records_every_step(p5_transfer):
-    spec, ops = p5_transfer
-    psi0 = sender_state(spec)
-    records = walk_history(ops, psi0, 10, rtn_channel(8))
-    assert [r.step for r in records] == list(range(11))
-    for r in records:
-        assert np.abs(r.density - np.outer(r.pure_state, r.pure_state.conj())).max() < 1e-10
-        assert abs(np.trace(r.noisy_density).real - 1.0) <= 1e-12
-        expected = noisy_state(ops, psi0, rtn_channel(8), r.step)
-        assert np.abs(r.noisy_density - expected).max() < 1e-12
-
-
-def test_walk_history_without_channel(p5_transfer):
-    spec, ops = p5_transfer
-    records = walk_history(ops, sender_state(spec), 5)
-    assert all(r.noisy_density is None for r in records)

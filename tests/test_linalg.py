@@ -3,55 +3,35 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qwalk.graphs import path_graph
-from qwalk.linalg import check_density, hermitian_eig, is_unitary, matmul, psd_sqrt
-from qwalk.operators import coin_operator, shift_operator, walk_spec
+from qwalk.graphs import cycle_graph, path_graph, star_graph
+from qwalk.linalg import check_density, hermitian_eig, is_unitary, psd_sqrt
+from qwalk.operators import coin_operator, shift_operator, walk_spec, walk_unitary
 
 from .oracles import naive_matmul, random_density, random_hermitian, random_pure
 
 
-def test_matmul_identity():
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.allclose(matmul(np.eye(4), m), m)
-
-
-def test_matmul_permutation_closure():
-    p = np.eye(5)[[3, 0, 4, 1, 2]]
-    q = np.eye(5)[[1, 2, 0, 4, 3]]
-    prod = matmul(p, q)
-    assert np.all(np.isin(np.round(prod.real), (0.0, 1.0)))
-    assert np.allclose(prod.sum(axis=0), 1.0)
-    assert np.allclose(prod.sum(axis=1), 1.0)
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        matmul(np.eye(3), np.eye(4))
-
-
 def test_matmul_against_triple_loop_on_walk_operators():
     spec = walk_spec(path_graph(5), 0, 4)
-    shift = shift_operator(spec.space)
-    coin = coin_operator(spec)
-    assert np.abs(matmul(shift, coin) - naive_matmul(shift, coin)).max() < 1e-15
+    ops = walk_unitary(spec)
+    assert np.abs(ops.unitary - naive_matmul(ops.shift, ops.coin)).max() < 1e-15
 
 
 def test_matmul_against_triple_loop_random():
+    # the oracle itself, on non-square factors
     rng = np.random.default_rng(1)
     a = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
     b = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-    assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() < 1e-12
+    assert np.abs(a @ b - naive_matmul(a, b)).max() < 1e-12
 
 
 def test_matmul_associativity():
+    # the step may be applied factor by factor: (S C) psi == S (C psi)
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        a, b, c = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(3))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = np.abs(left).max()
-        assert np.abs(left - right).max() / scale < 1e-9
+    for graph in (path_graph(5), cycle_graph(6), star_graph(6)):
+        ops = walk_unitary(walk_spec(graph, 0, 1))
+        for _ in range(3):
+            psi = random_pure(rng, ops.dim)
+            assert np.abs(ops.unitary @ psi - ops.shift @ (ops.coin @ psi)).max() < 1e-12
 
 
 def test_is_unitary_identity():
@@ -60,7 +40,7 @@ def test_is_unitary_identity():
 
 def test_is_unitary_walk_step():
     spec = walk_spec(path_graph(5), 0, 4)
-    step = matmul(shift_operator(spec.space), coin_operator(spec))
+    step = shift_operator(spec.space) @ coin_operator(spec)
     assert is_unitary(step, tol=1e-12)
 
 

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qwalk.channels import apply_channel, kraus_set, oun_channel, rtn_channel
+from qwalk.fidelity import fidelity_density
+from qwalk.operators import receiver_state, sender_state, walk_spec, walk_unitary
 from qwalk.scenarios import (
     FidelitySeries,
     Scenario,
@@ -14,6 +20,8 @@ from qwalk.scenarios import (
     scenario_from_mapping,
     scenario_graph,
 )
+
+from .oracles import random_simple_graph
 
 
 def test_scenario_validation():
@@ -27,6 +35,10 @@ def test_scenario_validation():
         Scenario(graph="path", size=(5,), sender=0, receiver=1, steps=0)
     with pytest.raises(ValueError, match="requires a receiver"):
         Scenario(graph="path", size=(5,), sender=0)
+    with pytest.raises(ValueError, match="a/gamma"):
+        Scenario(graph="path", size=(5,), sender=0, receiver=1, noise="rtn", rtn_gamma=0.5)
+    with pytest.raises(ValueError, match="positive"):
+        Scenario(graph="path", size=(5,), sender=0, receiver=1, noise="oun", oun_gamma=0.0)
 
 
 def test_periodicity_forces_receiver():
@@ -165,9 +177,73 @@ def test_default_name():
 
 
 def test_shortcut_cross_check_runs():
-    # sampled steps exercise the density-formula cross-check inside the runner
+    # sampled steps exercise the dense Kraus + density-formula cross-check inside the runner
     series = run_scenario(
         Scenario(graph="kab", size=(2, 3), sender=0, receiver=1,
                  receiver_mode="outgoing", noise="rtn", steps=25)
     )
     assert len(series.noiseless) == 26
+
+
+def _write_graph_file(path, n: int, edges) -> str:
+    path.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return f"file:{path}"
+
+
+def _random_graph_scenarios(tmp_path) -> list[tuple[str, Scenario]]:
+    rng = np.random.default_rng(7)
+    cases = []
+    for index, n in enumerate((5, 7, 9)):
+        graph = _write_graph_file(tmp_path / f"random{index}.txt", n, random_simple_graph(rng, n))
+        for noise in ("rtn", "oun"):
+            for receiver_mode in ("incoming", "outgoing"):
+                sc = Scenario(graph=graph, sender=0, receiver=n - 1, noise=noise,
+                              receiver_mode=receiver_mode, steps=40)
+                cases.append((f"random{index}_{noise}_{receiver_mode}", sc))
+    return cases
+
+
+def test_noisy_series_matches_dense_channel_at_every_step(tmp_path):
+    # the closed form against the dense Kraus channel and the general
+    # density formula, at every step rather than the runner's sampled ones
+    cases = case_study_scenarios() + _random_graph_scenarios(tmp_path)
+    assert len(cases) == 22 + 12
+    for name, sc in cases:
+        series = run_scenario(sc)
+        spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
+        ops = walk_unitary(spec)
+        psi = sender_state(spec)
+        target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
+        sigma = np.outer(target, target.conj())
+        if sc.noise == "rtn":
+            channel = rtn_channel(ops.dim, a=sc.rtn_a, gamma=sc.rtn_gamma)
+        else:
+            channel = oun_channel(ops.dim, lam=sc.oun_lambda, gamma=sc.oun_gamma)
+        rho = np.outer(psi, psi.conj())
+        for t in range(sc.steps + 1):
+            dense = fidelity_density(apply_channel(rho, kraus_set(channel, t)), sigma)
+            assert abs(series.noisy[t] - dense) <= 1e-12, (name, t)
+            rho = ops.unitary @ rho @ ops.unitary.conj().T
+
+
+def test_run_memory_does_not_grow_with_steps(tmp_path):
+    # a streaming run keeps O(dim) state per step: 175 extra steps must not
+    # retain even one dim x dim matrix
+    rng = np.random.default_rng(11)
+    n = 90
+    graph = _write_graph_file(tmp_path / "g.txt", n, random_simple_graph(rng, n))
+    short = Scenario(graph=graph, sender=0, receiver=n - 1, noise="rtn", steps=25)
+    dim = walk_spec(scenario_graph(short), 0, n - 1).space.dim
+    assert dim >= 200
+
+    def peak(sc: Scenario) -> int:
+        tracemalloc.start()
+        try:
+            run_scenario(sc)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_scenario(short)  # warm caches outside the measurement
+    growth = peak(replace(short, steps=200)) - peak(short)
+    assert growth < dim * dim * 16
