@@ -38,12 +38,14 @@ from .linalg import hermitian_eig, is_unitary, psd_sqrt
 from .operators import (
     WalkOperators,
     WalkSpec,
+    WalkStep,
     coin_operator,
     grover_diffusion,
     receiver_state,
     sender_state,
     shift_operator,
     walk_spec,
+    walk_step,
     walk_unitary,
 )
 from .output import render_svg, write_csv, write_matrix_csv
@@ -75,11 +77,13 @@ __all__ = [
     "psd_sqrt",
     "WalkSpec",
     "WalkOperators",
+    "WalkStep",
     "walk_spec",
     "grover_diffusion",
     "coin_operator",
     "shift_operator",
     "walk_unitary",
+    "walk_step",
     "sender_state",
     "receiver_state",
     "NoiseChannel",

@@ -24,6 +24,7 @@ channel as ``dim x dim`` matrices and serves as its independent check.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -198,6 +199,14 @@ def apply_channel(rho, ks: KrausSet) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _z_diagonal(d: int) -> np.ndarray:
+    """Read-only diagonal ``omega^j`` of ``Z = W(1, 0)`` in dimension ``d``, computed once per ``d``."""
+    z = np.exp(2j * np.pi * np.arange(d) / d)
+    z.flags.writeable = False
+    return z
+
+
 def dephased_fidelity(channel: NoiseChannel, t: float, psi, phi) -> float:
     """``<phi| E_t(|psi><psi|) |phi>`` for the channel ``E_t`` at time ``t``, in ``O(dim)``.
 
@@ -214,7 +223,6 @@ def dephased_fidelity(channel: NoiseChannel, t: float, psi, phi) -> float:
             f"states have shapes {psi.shape} and {phi.shape}, expected ({d},) for the channel"
         )
     kappa = _checked_kernel(channel, t)
-    z_diagonal = np.exp(2j * np.pi * np.arange(d) / d)
     kept = abs(np.vdot(phi, psi)) ** 2
-    flipped = abs(np.vdot(phi, z_diagonal * psi)) ** 2
+    flipped = abs(np.vdot(phi, _z_diagonal(d) * psi)) ** 2
     return _clamp((1.0 + kappa) / 2.0 * kept + (1.0 - kappa) / 2.0 * flipped)

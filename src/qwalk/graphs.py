@@ -97,7 +97,8 @@ def build_graph(n: int, edges) -> Graph:
     ValueError
         On ``n < 2``, an out-of-range endpoint, a loop edge, or a vertex
         that would end up with degree 0 (the walk needs a coin space at
-        every vertex).
+        every vertex). ``n`` larger than twice the edge count is rejected
+        before any per-vertex storage is allocated.
     """
     if n < 2:
         raise ValueError(f"graph needs at least 2 vertices, got n={n}")
@@ -113,6 +114,13 @@ def build_graph(n: int, edges) -> Graph:
             seen.add(e)
             canonical.append(e)
     canonical.sort()
+    # m edges touch at most 2m vertices; rejecting a larger n here keeps a
+    # huge claimed vertex count from allocating the degree table below.
+    if n > 2 * len(canonical):
+        raise ValueError(
+            f"isolated vertex: {len(canonical)} edge(s) touch at most "
+            f"{2 * len(canonical)} of the n={n} vertices"
+        )
     degrees = [0] * n
     for u, v in canonical:
         degrees[u] += 1
@@ -219,6 +227,13 @@ def edge_space(g: Graph) -> DirectedEdgeSpace:
     )
 
 
+def _parse_int(field: str, lineno: int, raw: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected an integer, got {field!r} in {raw!r}") from None
+
+
 def parse_graph_file(text: str) -> Graph:
     """Parse the plain-text graph format.
 
@@ -236,11 +251,11 @@ def parse_graph_file(text: str) -> Graph:
         if n is None:
             if len(fields) != 1:
                 raise ValueError(f"line {lineno}: expected the vertex count alone, got {raw!r}")
-            n = int(fields[0])
+            n = _parse_int(fields[0], lineno, raw)
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'u v', got {raw!r}")
-        edges.append((int(fields[0]), int(fields[1])))
+        edges.append((_parse_int(fields[0], lineno, raw), _parse_int(fields[1], lineno, raw)))
     if n is None:
         raise ValueError("empty graph file: missing vertex count")
     return build_graph(n, edges)

@@ -35,7 +35,7 @@ from .channels import (
 )
 from .fidelity import fidelity_density, fidelity_pure
 from .graphs import Graph, load_graph_file, standard_family
-from .operators import RECEIVER_MODES, receiver_state, sender_state, walk_spec, walk_unitary
+from .operators import RECEIVER_MODES, receiver_state, sender_state, walk_spec, walk_step
 
 __all__ = [
     "Scenario",
@@ -153,8 +153,10 @@ def _scenario_channel(sc: Scenario, dim: int) -> NoiseChannel | None:
 def run_scenario(sc: Scenario) -> FidelitySeries:
     """Run one scenario and collect its fidelity series in one streaming pass.
 
-    Only the current state ``psi_t`` is kept. At every step the noiseless
-    fidelity is ``|<target|psi_t>|^2``; with noise, the noisy fidelity is the
+    Only the current state ``psi_t`` is kept, and each step is the
+    matrix-free :func:`~qwalk.operators.walk_step`: ``O(2m)`` time and no
+    ``dim x dim`` array. At every step the noiseless fidelity is
+    ``|<target|psi_t>|^2``; with noise, the noisy fidelity is the
     closed form ``(1 + kappa(t))/2 |<target|psi_t>|^2 + (1 - kappa(t))/2
     |<target|Z psi_t>|^2`` (:func:`~qwalk.channels.dephased_fidelity`). Every
     ``_CROSS_CHECK_STRIDE`` steps it is checked against the dense route: the
@@ -163,7 +165,7 @@ def run_scenario(sc: Scenario) -> FidelitySeries:
     """
     graph = scenario_graph(sc)
     spec = walk_spec(graph, sc.sender, sc.receiver)
-    ops = walk_unitary(spec)
+    step = walk_step(spec)
     psi = sender_state(spec)
     if sc.mode == "periodicity":
         target = sender_state(spec)
@@ -175,7 +177,7 @@ def run_scenario(sc: Scenario) -> FidelitySeries:
     noisy = None if channel is None else np.empty(sc.steps + 1)
     for t in range(sc.steps + 1):
         if t > 0:
-            psi = ops.unitary @ psi
+            psi = step(psi)
         noiseless[t] = fidelity_pure(psi, target)
         if channel is None:
             continue

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from qwalk.channels import NoiseChannel, apply_channel, kraus_set
-from qwalk.evolution import evolve_pure
 from qwalk.linalg import check_density
 from qwalk.operators import WalkOperators
 
@@ -61,7 +60,7 @@ def noisy_state(ops: WalkOperators, psi0, channel: NoiseChannel, t: int) -> np.n
     """
     if channel.dim != ops.dim:
         raise ValueError(f"channel dimension {channel.dim} != walk dimension {ops.dim}")
-    psi_t = evolve_pure(ops, psi0, t)
+    psi_t = power_evolved(ops.unitary, psi0, t)
     rho_t = np.outer(psi_t, psi_t.conj())
     return apply_channel(rho_t, kraus_set(channel, t))
 

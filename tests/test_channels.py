@@ -8,6 +8,7 @@ import pytest
 
 from qwalk.channels import (
     NoiseChannel,
+    _z_diagonal,
     apply_channel,
     dephased_fidelity,
     kraus_set,
@@ -187,6 +188,14 @@ def test_dephased_fidelity_on_plus_state():
     plus = np.ones(2, dtype=complex) / np.sqrt(2.0)
     for kappa in (1.0, 0.3, 0.0, -0.6):
         assert abs(dephased_fidelity(stub_channel(2, kappa), 1.0, plus, plus) - (1 + kappa) / 2) < 1e-15
+
+
+def test_z_diagonal_is_cached_read_only_per_dimension():
+    for d in (2, 7, 24):
+        z = _z_diagonal(d)
+        assert z is _z_diagonal(d)
+        assert not z.flags.writeable
+        assert np.abs(z - np.diagonal(weyl_operator(d, 1, 0))).max() < 1e-15
 
 
 def test_dephased_fidelity_rejects_dimension_mismatch():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -173,3 +174,55 @@ def test_run_reports_internal_error_with_exit_three(tmp_path, capsys, monkeypatc
     assert err.count("\n") == 1
     assert err.startswith("internal error: fidelity cross-check failed at t=0")
     assert "Traceback" not in err
+
+
+def test_run_reports_broken_edge_space_with_exit_three(tmp_path, capsys, monkeypatch):
+    import qwalk.scenarios
+
+    real_walk_spec = qwalk.scenarios.walk_spec
+
+    def broken_walk_spec(graph, sender, receiver):
+        spec = real_walk_spec(graph, sender, receiver)
+        dim = spec.space.dim
+        rotated = tuple((k + 1) % dim for k in range(dim))  # not an involution
+        return replace(spec, space=replace(spec.space, reverse_of=rotated))
+
+    monkeypatch.setattr(qwalk.scenarios, "walk_spec", broken_walk_spec)
+    code = main(
+        [
+            "run", "--graph", "cycle", "--size", "6", "--sender", "0", "--receiver", "3",
+            "--steps", "4", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: shift operator is not a fixed-point-free involution")
+
+
+def test_run_rejects_huge_vertex_count_before_allocating(tmp_path, capsys):
+    graph = tmp_path / "huge.txt"
+    graph.write_text(f"{2**62}\n0 1\n")
+    code = main(
+        [
+            "run", "--graph", f"file:{graph}", "--sender", "0", "--receiver", "1",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: isolated vertex")
+
+
+def test_run_names_line_of_bad_integer_in_graph_file(tmp_path, capsys):
+    graph = tmp_path / "bad.txt"
+    graph.write_text("3\n0 1\n1 x\n")
+    code = main(
+        [
+            "run", "--graph", f"file:{graph}", "--sender", "0", "--receiver", "1",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 3: expected an integer, got 'x'")

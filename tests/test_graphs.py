@@ -46,6 +46,16 @@ def test_isolated_vertex_rejected():
         build_graph(3, [(0, 1)])
 
 
+def test_vertex_count_beyond_edge_cover_rejected_before_allocation():
+    # a per-vertex table for this n cannot be allocated; the bound check
+    # must fire first
+    with pytest.raises(ValueError, match="isolated vertex.*touch at most 2"):
+        build_graph(2**62, [(0, 1)])
+    with pytest.raises(ValueError, match="isolated vertex"):
+        build_graph(5, [(0, 1), (1, 0), (2, 3)])  # duplicates do not count
+    assert build_graph(4, [(0, 1), (2, 3)]).n == 4  # n == 2m is a perfect matching
+
+
 def test_too_few_vertices_rejected():
     with pytest.raises(ValueError, match="at least 2"):
         build_graph(1, [])
@@ -163,6 +173,16 @@ def test_parse_graph_file_errors():
         parse_graph_file("3\n0 1 2\n")
     with pytest.raises(ValueError, match="vertex count alone"):
         parse_graph_file("3 3\n")
+
+
+@pytest.mark.parametrize(
+    "text, lineno, field",
+    [("three\n0 1\n", 1, "three"), ("# c\n3\n0 1\n1 2.5\n", 4, "2.5"), ("2\nz 1\n", 2, "z")],
+    ids=["vertex_count", "edge_after_comment", "first_endpoint"],
+)
+def test_parse_graph_file_names_line_of_bad_integer(text, lineno, field):
+    with pytest.raises(ValueError, match=f"^line {lineno}: expected an integer, got '{field}'"):
+        parse_graph_file(text)
 
 
 def test_load_graph_file(tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,13 @@ from qwalk.operators import (
     sender_state,
     shift_operator,
     walk_spec,
+    walk_step,
     walk_unitary,
 )
+from qwalk.scenarios import case_study_scenarios, scenario_graph
 
 from .goldens import CASE_SPECS, FAMILY_BUILDERS, GOLDEN_COINS, GOLDEN_SHIFTS, PRINTED_COINS
-from .oracles import random_simple_graph
+from .oracles import random_pure, random_simple_graph
 
 
 def case_walk_spec(family: str, s: int, r: int):
@@ -199,3 +203,64 @@ def test_walk_spec_rejects_bad_vertices():
         walk_spec(g, 9, 0)
     with pytest.raises(ValueError, match="receiver"):
         WalkSpec(graph=g, space=walk_spec(g, 0, 0).space, sender=0, receiver=-1)
+
+
+def _step_oracle_specs():
+    """The 22 case studies plus random graphs with leaf and coinciding marks."""
+    specs = [
+        (name, walk_spec(scenario_graph(sc), sc.sender, sc.receiver))
+        for name, sc in case_study_scenarios()
+    ]
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 4, 6, 9, 14, 20):
+        g = build_graph(n, random_simple_graph(rng, n))
+        leaf = g.degrees.index(1)  # a spanning tree always has a leaf
+        for s, r in ((0, n - 1), (leaf, leaf), (leaf, (leaf + 1) % n)):
+            specs.append((f"random{n}_s{s}_r{r}", walk_spec(g, s, r)))
+    return specs
+
+
+def test_walk_step_matches_dense_unitary_at_every_step():
+    specs = _step_oracle_specs()
+    assert len(specs) == 22 + 21
+    assert any(spec.sender == spec.receiver for _, spec in specs)
+    assert any(spec.graph.degrees[spec.sender] == 1 for _, spec in specs)
+    rng = np.random.default_rng(32)
+    for name, spec in specs:
+        step = walk_step(spec)
+        unitary = walk_unitary(spec).unitary
+        for psi0 in (sender_state(spec), random_pure(rng, spec.space.dim)):
+            free, dense = psi0, psi0
+            for t in range(1, 61):
+                free, dense = step(free), unitary @ dense
+                assert np.abs(free - dense).max() <= 1e-12, (name, t)
+
+
+def test_walk_step_arrays_are_read_only_and_linear_in_dim():
+    spec = case_walk_spec("k23", 0, 1)
+    step = walk_step(spec)
+    assert step.dim == spec.space.dim == 12
+    for a in (step.starts, step.two_over_degree, step.gather, step.block_after, step.sign_after):
+        assert a.ndim == 1 and len(a) <= step.dim
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def _broken_spaces():
+    space = walk_spec(cycle_graph(6), 0, 3).space
+    dim = space.dim
+    return {
+        # fixed-point-free but not an involution: S @ S != I
+        "rotated_reverse": replace(space, reverse_of=tuple((k + 1) % dim for k in range(dim))),
+        # an involution with fixed points
+        "identity_reverse": replace(space, reverse_of=tuple(range(dim))),
+        "short_blocks": replace(space, out_blocks=((0, 1),) + space.out_blocks[1:]),
+    }
+
+
+@pytest.mark.parametrize("broken", sorted(_broken_spaces()))
+def test_walk_step_rejects_broken_edge_space(broken):
+    g = cycle_graph(6)
+    spec = WalkSpec(graph=g, space=_broken_spaces()[broken], sender=0, receiver=3)
+    with pytest.raises(RuntimeError):
+        walk_step(spec)

@@ -247,3 +247,32 @@ def test_run_memory_does_not_grow_with_steps(tmp_path):
     run_scenario(short)  # warm caches outside the measurement
     growth = peak(replace(short, steps=200)) - peak(short)
     assert growth < dim * dim * 16
+
+
+def test_run_scenario_never_assembles_dense_operators(monkeypatch):
+    import qwalk
+
+    def dense_forbidden(*args, **kwargs):
+        raise AssertionError("run_scenario assembled the dense walk unitary")
+
+    for module in (qwalk, qwalk.operators, qwalk.scenarios, qwalk.evolution):
+        monkeypatch.setattr(module, "walk_unitary", dense_forbidden, raising=False)
+    for noise in ("none", "rtn", "oun"):
+        series = run_scenario(
+            Scenario(graph="kab", size=(2, 3), sender=0, receiver=1, noise=noise, steps=60)
+        )
+        assert series.steps == 60
+
+
+def test_noiseless_run_allocates_no_dense_matrix():
+    sc = Scenario(graph="cycle", size=(500,), sender=0, receiver=250, steps=50)
+    dim = walk_spec(scenario_graph(sc), 0, 250).space.dim
+    assert dim >= 1000
+    run_scenario(replace(sc, steps=1))  # warm caches outside the measurement
+    tracemalloc.start()
+    try:
+        run_scenario(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * dim * 8  # one dim x dim float64 array
