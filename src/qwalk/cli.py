@@ -10,7 +10,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .graphs import load_graph_file, standard_family
 from .operators import walk_spec, walk_unitary
 from .output import render_svg, write_csv, write_matrix_csv
 from .scenarios import (
@@ -19,6 +18,7 @@ from .scenarios import (
     parse_scenario_config,
     run_scenario,
     scenario_from_mapping,
+    scenario_graph,
 )
 
 __all__ = ["main"]
@@ -78,30 +78,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Scenario keys that a command-line flag of the same (dashed) name can set.
 _FLAG_KEYS = (
-    ("graph", "graph"),
-    ("size", "size"),
-    ("sender", "sender"),
-    ("receiver", "receiver"),
-    ("mode", "mode"),
-    ("receiver_mode", "receiver_mode"),
-    ("noise", "noise"),
-    ("rtn_a", "rtn_a"),
-    ("rtn_gamma", "rtn_gamma"),
-    ("oun_lambda", "oun_lambda"),
-    ("oun_gamma", "oun_gamma"),
-    ("steps", "steps"),
+    "graph", "size", "sender", "receiver", "mode", "receiver_mode",
+    "noise", "rtn_a", "rtn_gamma", "oun_lambda", "oun_gamma", "steps",
 )
+
+# dump-operators assembles three dense dim x dim float64 matrices (32 MiB
+# each at this limit) and checks them in O(dim^3); larger walks are refused.
+DUMP_MAX_DIM = 2048
+
+
+def _flag_mapping(args: argparse.Namespace) -> dict[str, str]:
+    """The scenario keys given on the command line, as strings."""
+    values = {key: getattr(args, key, None) for key in _FLAG_KEYS}
+    return {key: str(value) for key, value in values.items() if value is not None}
 
 
 def _run_command(args: argparse.Namespace) -> int:
     mapping: dict[str, str] = {}
     if args.config:
         mapping.update(parse_scenario_config(Path(args.config).read_text(encoding="utf-8")))
-    for attr, key in _FLAG_KEYS:
-        value = getattr(args, attr)
-        if value is not None:
-            mapping[key] = str(value)
+    mapping.update(_flag_mapping(args))
     scenario = scenario_from_mapping(mapping)
     series = run_scenario(scenario)
 
@@ -133,14 +131,16 @@ def _dump_command(args: argparse.Namespace) -> int:
         raise ValueError("dump-operators requires --graph")
     if args.sender is None or args.receiver is None:
         raise ValueError("dump-operators requires --sender and --receiver")
-    if args.graph.startswith("file:"):
-        graph = load_graph_file(args.graph[len("file:"):])
-    else:
-        if args.size is None:
-            raise ValueError(f"graph family {args.graph!r} requires --size")
-        size = tuple(int(part) for part in args.size.split(",") if part.strip())
-        graph = standard_family(args.graph, *size)
-    ops = walk_unitary(walk_spec(graph, args.sender, args.receiver))
+    if args.size is None and not args.graph.startswith("file:"):
+        raise ValueError(f"graph family {args.graph!r} requires --size")
+    scenario = scenario_from_mapping(_flag_mapping(args))
+    spec = walk_spec(scenario_graph(scenario), scenario.sender, scenario.receiver)
+    if spec.space.dim > DUMP_MAX_DIM:
+        raise ValueError(
+            f"dump-operators writes dense matrices only up to walk dimension "
+            f"{DUMP_MAX_DIM}; this graph has {spec.space.dim}"
+        )
+    ops = walk_unitary(spec)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,16 +1,19 @@
 """Simple graphs and the directed-edge basis of the walk's Hilbert space.
 
-Vertices are always labelled ``0 .. n-1``. An undirected edge set is stored
-in canonical ``(min, max)`` form; the walk itself lives on the *directed*
-edges, two per undirected edge, arranged in lexicographic order. The
-position of a directed edge in that order is the index of the corresponding
-computational-basis vector.
+Vertices are always labelled ``0 .. n-1``. A graph stores its undirected
+edges as one sorted ``(m, 2)`` array of ``(min, max)`` pairs; the walk
+itself lives on the ``2m`` *directed* edges (arcs), two per undirected
+edge, arranged in lexicographic order. The position of an arc in that
+order is the index of the corresponding computational-basis vector, and
+the whole basis is described by two index arrays (:class:`DirectedEdgeSpace`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "Graph",
@@ -27,18 +30,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Graph:
+class _IndexArrays:
+    """Frozen record whose ``_arrays`` fields are read-only ``intp`` arrays.
+
+    ``==`` and ``hash`` compare those arrays by value, as they would tuples.
+    """
+
+    _arrays: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in self._arrays:
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.intp))
+            getattr(self, name).flags.writeable = False
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Graph(_IndexArrays):
     """Validated simple undirected graph with vertices ``0 .. n-1``.
 
-    Instances are immutable; build them through :func:`build_graph` or one
-    of the family constructors so the invariants (no loops, no duplicate
-    edges, no isolated vertices) are guaranteed to hold.
+    ``edges`` is the sorted ``(m, 2)`` array of edges ``(u, v)`` with
+    ``u < v``, and ``degrees`` the length-``n`` array of vertex degrees.
+    Build instances through :func:`build_graph` or one of the family
+    constructors so the invariants (no loops, no duplicate edges, no
+    isolated vertices) are guaranteed to hold.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...] = field(repr=False)
+    edges: np.ndarray
+    degrees: np.ndarray = field(repr=False)
+    _arrays = ("edges", "degrees")
 
     @property
     def m(self) -> int:
@@ -46,40 +76,33 @@ class Graph:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return self.degrees[v]
+        return int(self.degrees[v])
 
 
-@dataclass(frozen=True)
-class DirectedEdgeSpace:
-    """The ordered basis of directed edges underlying the walk.
+@dataclass(frozen=True, eq=False)
+class DirectedEdgeSpace(_IndexArrays):
+    """The ordered basis of the ``2m`` arcs (directed edges) of the walk.
 
-    Attributes
-    ----------
-    edges : tuple[tuple[int, int], ...]
-        All ``2m`` directed edges ``(u, v)`` sorted lexicographically:
-        ``(u, v) < (p, q)`` iff ``u < p``, or ``u == p and v < q``.
-    index_of : dict[tuple[int, int], int]
-        Basis index of each directed edge.
-    reverse_of : tuple[int, ...]
-        ``reverse_of[k]`` is the index of ``(v, u)`` when edge ``k`` is
-        ``(u, v)``. A fixed-point-free involution.
-    out_blocks : tuple[tuple[int, int], ...]
-        Per vertex, the half-open index range ``(start, stop)`` of its
-        outgoing edges. Blocks are contiguous and ordered by vertex label.
-    in_edges : tuple[tuple[int, ...], ...]
-        Per vertex, the (sorted) indices of its incoming edges.
+    Arcs ``(u, v)`` are sorted lexicographically, and the position of an
+    arc in that order is its basis index. Two arrays describe the basis:
+
+    starts : length ``n + 1``
+        The outgoing arcs of vertex ``v`` are ``starts[v]:starts[v + 1]``,
+        a block of length ``deg(v)``; the blocks tile ``[0, 2m)`` in order.
+    reverse_of : length ``2m``
+        The index of ``(v, u)`` when arc ``k`` is ``(u, v)``: a
+        fixed-point-free involution. ``reverse_of[starts[v]:starts[v + 1]]``
+        are the incoming arcs of ``v``.
     """
 
-    edges: tuple[tuple[int, int], ...]
-    index_of: dict[tuple[int, int], int] = field(repr=False)
-    reverse_of: tuple[int, ...] = field(repr=False)
-    out_blocks: tuple[tuple[int, int], ...] = field(repr=False)
-    in_edges: tuple[tuple[int, ...], ...] = field(repr=False)
+    starts: np.ndarray
+    reverse_of: np.ndarray = field(repr=False)
+    _arrays = ("starts", "reverse_of")
 
     @property
     def dim(self) -> int:
         """Dimension ``2m`` of the walk's Hilbert space."""
-        return len(self.edges)
+        return len(self.reverse_of)
 
 
 def build_graph(n: int, edges) -> Graph:
@@ -95,40 +118,42 @@ def build_graph(n: int, edges) -> Graph:
     Raises
     ------
     ValueError
-        On ``n < 2``, an out-of-range endpoint, a loop edge, or a vertex
-        that would end up with degree 0 (the walk needs a coin space at
-        every vertex). ``n`` larger than twice the edge count is rejected
-        before any per-vertex storage is allocated.
+        On ``n < 2``, a non-integer or out-of-range endpoint, a loop edge, or
+        a vertex that would end up with degree 0 (the walk needs a coin space
+        at every vertex). ``n`` larger than twice the number of listed edges
+        is rejected before any per-vertex storage is allocated.
     """
     if n < 2:
         raise ValueError(f"graph needs at least 2 vertices, got n={n}")
-    canonical: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
+    pairs = np.asarray(list(edges))
+    if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"):
+        raise ValueError(f"edges must be integer pairs, got {pairs.dtype} of shape {pairs.shape}")
+    pairs = pairs.reshape(-1, 2).astype(np.intp)
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    bad = outside | (pairs[:, 0] == pairs[:, 1])
+    if bad.any():
+        k = int(np.argmax(bad))  # the first bad edge, as a loop over the input would find
+        u, v = pairs[k]
+        if outside[k]:
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"loop edge ({u}, {v}) is not allowed in a simple graph")
-        e = (u, v) if u < v else (v, u)
-        if e not in seen:
-            seen.add(e)
-            canonical.append(e)
-    canonical.sort()
-    # m edges touch at most 2m vertices; rejecting a larger n here keeps a
-    # huge claimed vertex count from allocating the degree table below.
-    if n > 2 * len(canonical):
+        raise ValueError(f"loop edge ({u}, {v}) is not allowed in a simple graph")
+    # k edges touch at most 2k vertices; rejecting a larger n here keeps a
+    # huge claimed vertex count from allocating the degree table, and keeps
+    # the keys min*n + max below n**2 <= 4k**2, far inside int64.
+    if n > 2 * len(pairs):
         raise ValueError(
-            f"isolated vertex: {len(canonical)} edge(s) touch at most "
-            f"{2 * len(canonical)} of the n={n} vertices"
+            f"isolated vertex: {len(pairs)} edge(s) touch at most "
+            f"{2 * len(pairs)} of the n={n} vertices"
         )
-    degrees = [0] * n
-    for u, v in canonical:
-        degrees[u] += 1
-        degrees[v] += 1
-    isolated = [v for v, d in enumerate(degrees) if d == 0]
-    if isolated:
-        raise ValueError(f"isolated vertex (degree 0): {isolated[0]}")
-    return Graph(n=n, edges=tuple(canonical), degrees=tuple(degrees))
+    # Sort and drop repeats rather than np.unique, whose hash-table path
+    # (numpy >= 2.3) is far slower on a million distinct int64 keys.
+    keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    canonical = np.column_stack((keys // n, keys % n))
+    degrees = np.bincount(canonical.ravel(), minlength=n)
+    if not degrees.all():
+        raise ValueError(f"isolated vertex (degree 0): {np.argmin(degrees)}")
+    return Graph(n=n, edges=canonical, degrees=degrees)
 
 
 def path_graph(n: int) -> Graph:
@@ -194,36 +219,20 @@ def standard_family(kind: str, *params: int) -> Graph:
 def edge_space(g: Graph) -> DirectedEdgeSpace:
     """Construct the lexicographic directed-edge basis of ``g``.
 
-    Every undirected edge contributes both orientations; sorting the
-    directed pairs lexicographically makes the outgoing edges of vertex
-    ``i`` a contiguous block of length ``deg(i)`` starting at
-    ``sum(deg(j) for j < i)``.
+    Arc ``i`` is edge ``i`` as stored and arc ``i + m`` its reverse; one
+    ``lexsort`` puts the ``2m`` arcs in basis order, and its inverse
+    permutation maps the partner of each arc to its basis index. Sorting
+    makes the outgoing arcs of vertex ``v`` a contiguous block of length
+    ``deg(v)`` starting at ``sum(deg(j) for j < v)``.
     """
-    directed: list[tuple[int, int]] = []
-    for u, v in g.edges:
-        directed.append((u, v))
-        directed.append((v, u))
-    directed.sort()
-    index_of = {e: k for k, e in enumerate(directed)}
-    reverse_of = tuple(index_of[(v, u)] for (u, v) in directed)
-
-    out_blocks: list[tuple[int, int]] = []
-    start = 0
-    for v in range(g.n):
-        d = g.degrees[v]
-        out_blocks.append((start, start + d))
-        start += d
-
-    incoming: list[list[int]] = [[] for _ in range(g.n)]
-    for k, (_, v) in enumerate(directed):
-        incoming[v].append(k)
-
+    m = g.m
+    arcs = np.concatenate((g.edges, g.edges[:, ::-1]))
+    order = np.lexsort((arcs[:, 1], arcs[:, 0]))
+    position = np.empty_like(order)
+    position[order] = np.arange(2 * m)
     return DirectedEdgeSpace(
-        edges=tuple(directed),
-        index_of=index_of,
-        reverse_of=reverse_of,
-        out_blocks=tuple(out_blocks),
-        in_edges=tuple(tuple(ks) for ks in incoming),
+        starts=np.concatenate(([0], np.cumsum(g.degrees))),
+        reverse_of=position[(order + m) % (2 * m)],
     )
 
 

@@ -94,12 +94,11 @@ def grover_diffusion(d: int) -> np.ndarray:
 
 def coin_operator(spec: WalkSpec) -> np.ndarray:
     """Block-diagonal coin: per-vertex Grover blocks, sender/receiver negated."""
-    dim = spec.space.dim
-    coin = np.zeros((dim, dim))
+    coin = np.zeros((spec.space.dim, spec.space.dim))
     marked = {spec.sender, spec.receiver}
     for v in range(spec.graph.n):
-        start, stop = spec.space.out_blocks[v]
-        block = grover_diffusion(spec.graph.degrees[v])
+        start, stop = spec.space.starts[v : v + 2]
+        block = grover_diffusion(spec.graph.degree(v))
         if v in marked:
             block = -block
         coin[start:stop, start:stop] = block
@@ -108,10 +107,8 @@ def coin_operator(spec: WalkSpec) -> np.ndarray:
 
 def shift_operator(space: DirectedEdgeSpace) -> np.ndarray:
     """Permutation matrix that sends edge ``(u, v)`` to ``(v, u)``."""
-    dim = space.dim
-    shift = np.zeros((dim, dim))
-    for k in range(dim):
-        shift[space.reverse_of[k], k] = 1.0
+    shift = np.zeros((space.dim, space.dim))
+    shift[space.reverse_of, np.arange(space.dim)] = 1.0
     return shift
 
 
@@ -173,25 +170,20 @@ def walk_step(spec: WalkSpec) -> WalkStep:
     involution (``S @ S == I``); and that one step keeps the norm of a fixed
     probe state to ``UNITARY_ATOL``. A violation raises ``RuntimeError``.
     """
-    space = spec.space
-    dim = space.dim
-    degrees = np.asarray(spec.graph.degrees, dtype=np.intp)
-    blocks = np.asarray(space.out_blocks, dtype=np.intp).reshape(-1, 2)
-    starts, stops = blocks[:, 0].copy(), blocks[:, 1]
+    degrees, starts, reverse = spec.graph.degrees, spec.space.starts, spec.space.reverse_of
+    dim = spec.space.dim
     if (
-        len(blocks) != spec.graph.n
+        starts.shape != (spec.graph.n + 1,)
         or degrees.min() < 1
         or starts[0] != 0
-        or stops[-1] != dim
-        or not np.array_equal(stops - starts, degrees)
-        or not np.array_equal(starts[1:], stops[:-1])
+        or starts[-1] != dim
+        or not np.array_equal(np.diff(starts), degrees)
     ):
         raise RuntimeError("outgoing-edge blocks do not tile the edge space by degree")
 
-    reverse = np.asarray(space.reverse_of, dtype=np.intp)
     arange = np.arange(dim)
     if (
-        reverse.shape != (dim,)
+        reverse.ndim != 1
         or reverse.min() < 0
         or reverse.max() >= dim
         or not np.array_equal(reverse[reverse], arange)
@@ -203,7 +195,7 @@ def walk_step(spec: WalkSpec) -> WalkStep:
     sign[[spec.sender, spec.receiver]] = -1.0
     block_of = np.repeat(np.arange(spec.graph.n), degrees)
     step = WalkStep(
-        starts=starts,
+        starts=starts[:-1],
         two_over_degree=2.0 / degrees,
         gather=reverse,
         block_after=block_of[reverse],
@@ -222,7 +214,7 @@ def walk_step(spec: WalkSpec) -> WalkStep:
 def sender_state(spec: WalkSpec) -> np.ndarray:
     """Uniform superposition over the sender's outgoing-edge block."""
     psi = np.zeros(spec.space.dim, dtype=complex)
-    start, stop = spec.space.out_blocks[spec.sender]
+    start, stop = spec.space.starts[spec.sender : spec.sender + 2]
     psi[start:stop] = 1.0 / np.sqrt(stop - start)
     return psi
 
@@ -239,10 +231,7 @@ def receiver_state(spec: WalkSpec, mode: str = "incoming") -> np.ndarray:
     if mode not in RECEIVER_MODES:
         raise ValueError(f"receiver mode must be one of {RECEIVER_MODES}, got {mode!r}")
     psi = np.zeros(spec.space.dim, dtype=complex)
-    if mode == "incoming":
-        indices = list(spec.space.in_edges[spec.receiver])
-    else:
-        start, stop = spec.space.out_blocks[spec.receiver]
-        indices = list(range(start, stop))
-    psi[indices] = 1.0 / np.sqrt(len(indices))
+    start, stop = spec.space.starts[spec.receiver : spec.receiver + 2]
+    arcs = spec.space.reverse_of[start:stop] if mode == "incoming" else slice(start, stop)
+    psi[arcs] = 1.0 / np.sqrt(stop - start)
     return psi

@@ -5,10 +5,13 @@ are computed with explicit loops, evolution with explicit matrix powers,
 and matrix square roots via scipy's Schur-based algorithm. The dense
 density-matrix routes (``evolve_density``, ``noisy_state``) build the
 channel output as a ``dim x dim`` matrix, which the library's closed-form
-noisy fidelity never does.
+noisy fidelity never does. ``reference_graph`` and ``reference_edge_space``
+are the tuple/set/dict graph layer the array-native one replaced.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,3 +111,98 @@ def random_simple_graph(rng: np.random.Generator, n: int) -> list[tuple[int, int
         u, v = rng.choice(n, size=2, replace=False)
         edges.add((min(u, v), max(u, v)))
     return sorted(edges)
+
+
+def arcs(space) -> list[tuple[int, int]]:
+    """The arc ``(tail, head)`` at every basis index of a ``DirectedEdgeSpace``.
+
+    The tail of arc ``k`` is the vertex whose block holds ``k``; its head is
+    the tail of ``reverse_of[k]``.
+    """
+    tails = np.repeat(np.arange(len(space.starts) - 1), np.diff(space.starts))
+    return list(zip(tails.tolist(), tails[space.reverse_of].tolist()))
+
+
+class ReferenceGraph(NamedTuple):
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    degrees: tuple[int, ...]
+
+
+class ReferenceEdgeSpace(NamedTuple):
+    """The directed-edge basis as sorted arc tuples plus per-vertex index lists."""
+
+    edges: tuple[tuple[int, int], ...]
+    index_of: dict[tuple[int, int], int]
+    reverse_of: tuple[int, ...]
+    out_blocks: tuple[tuple[int, int], ...]
+    in_edges: tuple[tuple[int, ...], ...]
+
+
+def reference_graph(n: int, edges) -> ReferenceGraph:
+    """Validate and canonicalize a simple graph with a set and Python loops."""
+    if n < 2:
+        raise ValueError(f"graph needs at least 2 vertices, got n={n}")
+    canonical: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"loop edge ({u}, {v}) is not allowed in a simple graph")
+        e = (u, v) if u < v else (v, u)
+        if e not in seen:
+            seen.add(e)
+            canonical.append(e)
+    canonical.sort()
+    # m edges touch at most 2m vertices; rejecting a larger n here keeps a
+    # huge claimed vertex count from allocating the degree table below.
+    if n > 2 * len(canonical):
+        raise ValueError(
+            f"isolated vertex: {len(canonical)} edge(s) touch at most "
+            f"{2 * len(canonical)} of the n={n} vertices"
+        )
+    degrees = [0] * n
+    for u, v in canonical:
+        degrees[u] += 1
+        degrees[v] += 1
+    isolated = [v for v, d in enumerate(degrees) if d == 0]
+    if isolated:
+        raise ValueError(f"isolated vertex (degree 0): {isolated[0]}")
+    return ReferenceGraph(n=n, edges=tuple(canonical), degrees=tuple(degrees))
+
+
+def reference_edge_space(g: ReferenceGraph) -> ReferenceEdgeSpace:
+    """Construct the lexicographic directed-edge basis of ``g``.
+
+    Every undirected edge contributes both orientations; sorting the
+    directed pairs lexicographically makes the outgoing edges of vertex
+    ``i`` a contiguous block of length ``deg(i)`` starting at
+    ``sum(deg(j) for j < i)``.
+    """
+    directed: list[tuple[int, int]] = []
+    for u, v in g.edges:
+        directed.append((u, v))
+        directed.append((v, u))
+    directed.sort()
+    index_of = {e: k for k, e in enumerate(directed)}
+    reverse_of = tuple(index_of[(v, u)] for (u, v) in directed)
+
+    out_blocks: list[tuple[int, int]] = []
+    start = 0
+    for v in range(g.n):
+        d = g.degrees[v]
+        out_blocks.append((start, start + d))
+        start += d
+
+    incoming: list[list[int]] = [[] for _ in range(g.n)]
+    for k, (_, v) in enumerate(directed):
+        incoming[v].append(k)
+
+    return ReferenceEdgeSpace(
+        edges=tuple(directed),
+        index_of=index_of,
+        reverse_of=reverse_of,
+        out_blocks=tuple(out_blocks),
+        in_edges=tuple(tuple(ks) for ks in incoming),
+    )

@@ -184,7 +184,7 @@ def test_run_reports_broken_edge_space_with_exit_three(tmp_path, capsys, monkeyp
     def broken_walk_spec(graph, sender, receiver):
         spec = real_walk_spec(graph, sender, receiver)
         dim = spec.space.dim
-        rotated = tuple((k + 1) % dim for k in range(dim))  # not an involution
+        rotated = (np.arange(dim) + 1) % dim  # not an involution
         return replace(spec, space=replace(spec.space, reverse_of=rotated))
 
     monkeypatch.setattr(qwalk.scenarios, "walk_spec", broken_walk_spec)
@@ -226,3 +226,51 @@ def test_run_names_line_of_bad_integer_in_graph_file(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.startswith("error: line 3: expected an integer, got 'x'")
+
+
+def test_dump_operators_requires_graph_sender_and_receiver(tmp_path, capsys):
+    assert main(["dump-operators", "--sender", "0", "--receiver", "1", "--out", str(tmp_path)]) == 2
+    assert "requires --graph" in capsys.readouterr().err
+    assert main(["dump-operators", "--graph", "path", "--size", "5", "--out", str(tmp_path)]) == 2
+    assert "requires --sender and --receiver" in capsys.readouterr().err
+
+
+def test_dump_operators_reads_graph_file(tmp_path):
+    graph_file = tmp_path / "g.txt"
+    graph_file.write_text("5\n3 4\n0 1\n2 1\n2 3\n")
+    code = main(
+        ["dump-operators", "--graph", f"file:{graph_file}", "--sender", "0", "--receiver", "4",
+         "--out", str(tmp_path / "file")]
+    )
+    assert code == 0
+    assert main(
+        ["dump-operators", "--graph", "path", "--size", "5", "--sender", "0", "--receiver", "4",
+         "--out", str(tmp_path / "family")]
+    ) == 0
+    for name in ("coin", "shift", "unitary"):
+        assert (tmp_path / "file" / f"{name}.csv").read_bytes() == (
+            tmp_path / "family" / f"{name}.csv"
+        ).read_bytes()
+
+
+def test_dump_operators_rejects_dims_above_dense_limit_before_assembly(
+    tmp_path, capsys, monkeypatch
+):
+    import qwalk.cli
+
+    def assembly(spec):
+        raise RuntimeError(f"assembly reached at dim {spec.space.dim}")
+
+    monkeypatch.setattr(qwalk.cli, "walk_unitary", assembly)
+    # a cycle on n vertices has walk dimension 2n
+    argv = ["dump-operators", "--graph", "cycle", "--sender", "0", "--receiver", "1",
+            "--out", str(tmp_path)]
+    assert main(argv + ["--size", str(qwalk.cli.DUMP_MAX_DIM // 2 + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: dump-operators writes dense matrices only up to walk dimension")
+    assert f"has {qwalk.cli.DUMP_MAX_DIM + 2}" in err
+    assert not list(tmp_path.iterdir())
+    # at the limit itself the guard passes and assembly is reached
+    assert main(argv + ["--size", str(qwalk.cli.DUMP_MAX_DIM // 2)]) == 3
+    assert f"assembly reached at dim {qwalk.cli.DUMP_MAX_DIM}" in capsys.readouterr().err

@@ -15,20 +15,20 @@ from qwalk.graphs import (
     star_graph,
 )
 
-from .oracles import random_simple_graph
+from .oracles import arcs, random_simple_graph
 
 
 def test_smallest_valid_graph():
     g = build_graph(2, [(0, 1)])
     assert g.n == 2
     assert g.m == 1
-    assert g.degrees == (1, 1)
+    assert g.degrees.tolist() == [1, 1]
 
 
 def test_path_graph_edges():
     g = path_graph(5)
-    assert g.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
-    assert g.degrees == (1, 2, 2, 2, 1)
+    assert g.edges.tolist() == [[0, 1], [1, 2], [2, 3], [3, 4]]
+    assert g.degrees.tolist() == [1, 2, 2, 2, 1]
 
 
 def test_loop_edge_rejected():
@@ -64,6 +64,21 @@ def test_too_few_vertices_rejected():
 def test_duplicate_edges_deduplicated():
     g = build_graph(3, [(0, 1), (1, 0), (1, 2), (1, 2)])
     assert g.m == 2
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+
+def test_edges_are_canonicalized_and_sorted():
+    g = build_graph(4, [(3, 2), (1, 0), (2, 0), (0, 1), (3, 1)])
+    assert g.edges.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+    assert g.degrees.tolist() == [2, 2, 2, 2]
+
+
+def test_non_integer_endpoint_rejected():
+    for edges in ([(0.5, 1), (1, 2)], [(0, 1), (1, "2")], [(0, 1.0), (1, 2)], [(0, 2**70), (1, 2)]):
+        with pytest.raises(ValueError, match="integer pairs"):
+            build_graph(3, edges)
+    with pytest.raises(ValueError, match="integer pairs"):
+        build_graph(3, [(0, 1, 2)])
 
 
 def test_star_degrees():
@@ -75,7 +90,7 @@ def test_star_degrees():
 def test_complete_bipartite_shape():
     g = complete_bipartite_graph(2, 3)
     assert g.m == 6
-    assert g.degrees == (3, 3, 2, 2, 2)
+    assert g.degrees.tolist() == [3, 3, 2, 2, 2]
 
 
 def test_cycle_degrees():
@@ -101,19 +116,36 @@ def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises(AttributeError):
         g.n = 7
+    space = edge_space(g)
+    for a in (g.edges, g.degrees, space.starts, space.reverse_of):
+        assert a.dtype == np.intp
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
+def test_graph_and_space_compare_and_hash_by_value():
+    a, b = path_graph(5), build_graph(5, [(4, 3), (0, 1), (2, 1), (3, 2)])
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != path_graph(6) and a != cycle_graph(5) and a != "path"
+    assert edge_space(a) == edge_space(b) and hash(edge_space(a)) == hash(edge_space(b))
+    assert edge_space(a) != edge_space(star_graph(5))
+    assert len({a, b, cycle_graph(5)}) == 2
 
 
 def test_p5_edge_order():
     space = edge_space(path_graph(5))
-    assert space.edges == (
+    assert arcs(space) == [
         (0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (4, 3),
-    )
+    ]
+    assert space.starts.tolist() == [0, 1, 3, 5, 7, 8]
+    assert space.reverse_of.tolist() == [1, 0, 3, 2, 5, 4, 7, 6]
 
 
 def test_k23_index_and_reverse():
     space = edge_space(complete_bipartite_graph(2, 3))
-    assert space.index_of[(0, 2)] == 0
+    assert arcs(space).index((0, 2)) == 0
     assert space.reverse_of[0] == 6
+    assert arcs(space)[6] == (2, 0)
 
 
 def test_reverse_is_fixed_point_free_involution():
@@ -132,25 +164,34 @@ def test_degree_sum_and_block_layout():
         n = int(rng.integers(2, 10))
         g = build_graph(n, random_simple_graph(rng, n))
         space = edge_space(g)
+        arc_list = arcs(space)
         assert sum(g.degrees) == 2 * g.m == space.dim
+        assert len(space.starts) == g.n + 1
         expected_start = 0
         for v in range(g.n):
-            start, stop = space.out_blocks[v]
+            start, stop = space.starts[v], space.starts[v + 1]
             assert start == expected_start
             assert stop - start == g.degrees[v]
             for k in range(start, stop):
-                assert space.edges[k][0] == v
+                assert arc_list[k][0] == v
             expected_start = stop
         assert expected_start == space.dim
+        assert arc_list == sorted(arc_list)
+        assert arc_list == sorted([(u, v) for u, v in g.edges.tolist()]
+                                  + [(v, u) for u, v in g.edges.tolist()])
 
 
 def test_incoming_edges_point_at_vertex():
     g = complete_bipartite_graph(2, 3)
     space = edge_space(g)
+    arc_list = arcs(space)
     for v in range(g.n):
-        assert len(space.in_edges[v]) == g.degrees[v]
-        for k in space.in_edges[v]:
-            assert space.edges[k][1] == v
+        incoming = space.reverse_of[space.starts[v]:space.starts[v + 1]]
+        assert len(incoming) == g.degrees[v]
+        for k in incoming:
+            assert arc_list[k][1] == v
+        neighbours = [u for e in g.edges.tolist() if v in e for u in e if u != v]
+        assert sorted(arc_list[k][0] for k in incoming) == sorted(neighbours)
 
 
 def test_parse_graph_file():
@@ -189,4 +230,4 @@ def test_load_graph_file(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("2\n0 1\n")
     g = load_graph_file(path)
-    assert g.edges == ((0, 1),)
+    assert g.edges.tolist() == [[0, 1]]

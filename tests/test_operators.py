@@ -89,14 +89,14 @@ def test_coin_blocks_follow_diffusion_formula():
         spec = walk_spec(g, s, r)
         coin = coin_operator(spec)
         for v in range(n):
-            start, stop = spec.space.out_blocks[v]
+            start, stop = spec.space.starts[v], spec.space.starts[v + 1]
             d = g.degrees[v]
             sign = -1.0 if v in {s, r} else 1.0
             expected = sign * ((2.0 / d) * np.ones((d, d)) - np.eye(d))
             assert np.abs(coin[start:stop, start:stop] - expected).max() < 1e-12
         off_block = coin.copy()
         for v in range(n):
-            start, stop = spec.space.out_blocks[v]
+            start, stop = spec.space.starts[v], spec.space.starts[v + 1]
             off_block[start:stop, start:stop] = 0.0
         assert np.abs(off_block).max() == 0.0
 
@@ -214,7 +214,7 @@ def _step_oracle_specs():
     rng = np.random.default_rng(31)
     for n in (2, 3, 4, 6, 9, 14, 20):
         g = build_graph(n, random_simple_graph(rng, n))
-        leaf = g.degrees.index(1)  # a spanning tree always has a leaf
+        leaf = int(np.flatnonzero(g.degrees == 1)[0])  # a spanning tree always has a leaf
         for s, r in ((0, n - 1), (leaf, leaf), (leaf, (leaf + 1) % n)):
             specs.append((f"random{n}_s{s}_r{r}", walk_spec(g, s, r)))
     return specs
@@ -251,10 +251,16 @@ def _broken_spaces():
     dim = space.dim
     return {
         # fixed-point-free but not an involution: S @ S != I
-        "rotated_reverse": replace(space, reverse_of=tuple((k + 1) % dim for k in range(dim))),
+        "rotated_reverse": replace(space, reverse_of=(np.arange(dim) + 1) % dim),
         # an involution with fixed points
-        "identity_reverse": replace(space, reverse_of=tuple(range(dim))),
-        "short_blocks": replace(space, out_blocks=((0, 1),) + space.out_blocks[1:]),
+        "identity_reverse": replace(space, reverse_of=np.arange(dim)),
+        # the first block one arc short, the second one long
+        "short_blocks": replace(space, starts=np.r_[0, 1, space.starts[2:]]),
+        # blocks that stop short of the last arc
+        "truncated_blocks": replace(space, starts=np.r_[space.starts[:-1], dim - 1]),
+        "missing_vertex": replace(space, starts=space.starts[:-1]),
+        # two arcs, reversing each other, that no vertex block owns
+        "extra_arcs": replace(space, reverse_of=np.r_[space.reverse_of, dim + 1, dim]),
     }
 
 
