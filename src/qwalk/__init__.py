@@ -2,9 +2,9 @@
 
 The package simulates discrete-time coined walks whose Hilbert space is
 spanned by the directed edges of a simple graph, measures state-transfer
-and periodicity fidelity over time, and models noise with Weyl-operator
-dephasing channels driven by random-telegraph or Ornstein-Uhlenbeck
-memory kernels.
+and periodicity fidelity over time, and models noise with a diagonal
+dephasing channel (identity and the Weyl phase operator Z) driven by
+random-telegraph or Ornstein-Uhlenbeck memory kernels.
 """
 
 from .channels import (
@@ -17,7 +17,6 @@ from .channels import (
     oun_kernel,
     rtn_channel,
     rtn_kernel,
-    weyl_operator,
 )
 from .evolution import evolve_pure
 from .fidelity import fidelity_density, fidelity_pure, fidelity_pure_target
@@ -88,7 +87,6 @@ __all__ = [
     "receiver_state",
     "NoiseChannel",
     "KrausSet",
-    "weyl_operator",
     "rtn_kernel",
     "oun_kernel",
     "rtn_channel",

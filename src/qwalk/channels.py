@@ -1,25 +1,25 @@
-"""Dephasing channels built from Weyl operators.
+"""Diagonal dephasing channels: the random-telegraph and Ornstein-Uhlenbeck noise.
 
 Two noise families are provided, both with a two-element Kraus set
 
-    K1(t) = sqrt((1 + kappa(t)) / 2) * W(0, 0)
-    K2(t) = sqrt((1 - kappa(t)) / 2) * W(1, 0)
+    K1(t) = sqrt((1 + kappa(t)) / 2) * I
+    K2(t) = sqrt((1 - kappa(t)) / 2) * Z,    Z = diag(omega^j), omega = exp(2 pi i / dim)
 
-where ``W(u, v)`` are the Weyl operators in the walk's dimension and the
-memory kernel ``kappa`` is either the damped-oscillatory random-telegraph
-kernel or the monotone modified Ornstein-Uhlenbeck kernel. Both Kraus
-operators are diagonal (``W(0, 0) = I``, ``W(1, 0) = Z = diag(omega^j)``
-with ``omega = exp(2 pi i / dim)``), so the channels dephase edge-basis
-coherences while leaving populations untouched.
+where ``I`` and ``Z`` are the Weyl operators ``W(0, 0)`` and ``W(1, 0)`` in the
+walk's dimension and the memory kernel ``kappa`` is either the
+damped-oscillatory random-telegraph kernel or the monotone modified
+Ornstein-Uhlenbeck kernel. Both Kraus operators are diagonal, so the
+channels dephase edge-basis coherences while leaving populations untouched,
+and a :class:`KrausSet` stores each operator as its diagonal.
 
 For a pure state ``psi`` and a pure target ``phi`` the channel output's
 fidelity therefore has the closed form
 
     F(t) = (1 + kappa(t)) / 2 * |<phi|psi>|^2 + (1 - kappa(t)) / 2 * |<phi|Z psi>|^2
 
-which :func:`dephased_fidelity` evaluates in ``O(dim)``. The dense route,
-:func:`kraus_set` followed by :func:`apply_channel`, builds the same
-channel as ``dim x dim`` matrices and serves as its independent check.
+which :func:`dephased_fidelity` evaluates in ``O(dim)``. The density-matrix
+route, :func:`kraus_set` followed by :func:`apply_channel`, applies the same
+channel to a density matrix and serves as its independent check.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "OUN_DEFAULT_GAMMA",
     "NoiseChannel",
     "KrausSet",
-    "weyl_operator",
     "rtn_kernel",
     "oun_kernel",
     "rtn_channel",
@@ -60,20 +59,11 @@ OUN_DEFAULT_GAMMA = 0.05
 _KERNEL_SLACK = 1e-12
 
 
-def weyl_operator(d: int, u: int, v: int) -> np.ndarray:
-    """Weyl operator of order ``d``: phase ``u``, cyclic shift ``v``.
-
-    ``W[k, (k + v) % d] = exp(2 pi i k u / d)``; ``W(0, 0)`` is the
-    identity and in ``d = 2`` the pair ``(1, 0)`` gives the Pauli Z matrix.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if not (0 <= u < d and 0 <= v < d):
-        raise ValueError(f"Weyl indices must lie in 0..{d - 1}, got (u, v) = ({u}, {v})")
-    w = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        w[k, (k + v) % d] = np.exp(2j * np.pi * k * u / d)
-    return w
+def _check_parameters(**params: float) -> None:
+    """Reject a noise parameter that is not a finite positive number (NaN and inf included)."""
+    if not all(math.isfinite(value) and value > 0 for value in params.values()):
+        shown = ", ".join(f"{name}={value}" for name, value in params.items())
+        raise ValueError(f"parameters must be finite and positive, got {shown}")
 
 
 def rtn_kernel(t: float, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> float:
@@ -85,16 +75,19 @@ def rtn_kernel(t: float, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GA
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if a <= 0 or gamma <= 0:
-        raise ValueError(f"parameters must be positive, got a={a}, gamma={gamma}")
-    ratio_sq = (2.0 * a / gamma) ** 2
-    if ratio_sq <= 1.0:
+    _check_parameters(a=a, gamma=gamma)
+    ratio = 2.0 * a / gamma
+    if ratio <= 1.0:
         raise ValueError(
             f"unsupported regime: a/gamma = {a / gamma:.6g} <= 0.5 makes the "
             "oscillation frequency imaginary"
         )
-    nu = math.sqrt(ratio_sq - 1.0)
+    nu = math.sqrt(ratio**2 - 1.0) if ratio < 1e150 else math.inf  # ratio**2 would overflow
     phase = nu * gamma * t
+    if not math.isfinite(phase):
+        raise ValueError(
+            f"unsupported regime: a/gamma = {a / gamma:.6g} overflows the phase at t={t}"
+        )
     return math.exp(-gamma * t) * (math.cos(phase) + math.sin(phase) / nu)
 
 
@@ -106,9 +99,9 @@ def oun_kernel(t: float, lam: float = OUN_DEFAULT_LAMBDA, gamma: float = OUN_DEF
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if lam <= 0 or gamma <= 0:
-        raise ValueError(f"parameters must be positive, got lam={lam}, gamma={gamma}")
-    return math.exp(-(lam / 2.0) * (t + (math.exp(-gamma * t) - 1.0) / gamma))
+    _check_parameters(lam=lam, gamma=gamma)
+    # The exponent is <= 0; at gamma t < 1e-8 round-off can make it positive (kernel > 1).
+    return math.exp(min(0.0, -(lam / 2.0) * (t + (math.exp(-gamma * t) - 1.0) / gamma)))
 
 
 @dataclass(frozen=True)
@@ -135,8 +128,7 @@ def rtn_channel(dim: int, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_G
     """Random-telegraph channel; warns outside the memory regime ``a/gamma > 0.5``."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if a <= 0 or gamma <= 0:
-        raise ValueError(f"parameters must be positive, got a={a}, gamma={gamma}")
+    _check_parameters(a=a, gamma=gamma)
     if a / gamma <= 0.5:
         warnings.warn(
             f"a/gamma = {a / gamma:.6g} <= 0.5: outside the oscillatory memory regime; "
@@ -150,14 +142,16 @@ def oun_channel(dim: int, lam: float = OUN_DEFAULT_LAMBDA, gamma: float = OUN_DE
     """Ornstein-Uhlenbeck channel with relaxation ``lam`` and bandwidth ``gamma``."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if lam <= 0 or gamma <= 0:
-        raise ValueError(f"parameters must be positive, got lam={lam}, gamma={gamma}")
+    _check_parameters(lam=lam, gamma=gamma)
     return NoiseChannel(kind="oun", dim=dim, lam=lam, gamma=gamma)
 
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators of one channel evaluation; completeness holds to 1e-12."""
+    """Kraus operators of one channel evaluation, each stored as its diagonal.
+
+    ``operators[i]`` is the length-``dim`` vector ``k_i`` of ``K_i = diag(k_i)``;
+    completeness ``sum |k_i|^2 = 1``, that is ``sum K†K = I``, holds to 1e-12."""
 
     operators: tuple[np.ndarray, ...]
     time: float
@@ -166,37 +160,9 @@ class KrausSet:
 def _checked_kernel(channel: NoiseChannel, t: float) -> float:
     """Kernel value at ``t``, rejected outside ``[-1, 1]`` beyond round-off and clamped into it."""
     kappa = channel.kernel(t)
-    if abs(kappa) > 1.0 + _KERNEL_SLACK:
+    if not abs(kappa) <= 1.0 + _KERNEL_SLACK:  # NaN fails this comparison too
         raise ValueError(f"invalid kernel value {kappa:.6g} at t={t}: outside [-1, 1]")
     return min(1.0, max(-1.0, kappa))
-
-
-def kraus_set(channel: NoiseChannel, t: float) -> KrausSet:
-    """Evaluate the channel's two Kraus operators at time ``t``.
-
-    The kernel value must lie in ``[-1, 1]`` (up to round-off); the
-    completeness relation ``sum K†K = I`` is verified on construction.
-    """
-    kappa = _checked_kernel(channel, t)
-    d = channel.dim
-    k1 = math.sqrt((1.0 + kappa) / 2.0) * weyl_operator(d, 0, 0)
-    k2 = math.sqrt((1.0 - kappa) / 2.0) * weyl_operator(d, 1, 0)
-    total = k1.conj().T @ k1 + k2.conj().T @ k2
-    if float(np.abs(total - np.eye(d)).max()) > UNITARY_ATOL:
-        raise RuntimeError("Kraus completeness relation violated")
-    for k in (k1, k2):
-        k.flags.writeable = False
-    return KrausSet(operators=(k1, k2), time=float(t))
-
-
-def apply_channel(rho, ks: KrausSet) -> np.ndarray:
-    """Apply ``rho -> sum_i K_i rho K_i†`` to a density matrix."""
-    dim = ks.operators[0].shape[0]
-    rho = check_density(rho, dim=dim)
-    out = np.zeros_like(rho)
-    for k in ks.operators:
-        out += k @ rho @ k.conj().T
-    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -205,6 +171,34 @@ def _z_diagonal(d: int) -> np.ndarray:
     z = np.exp(2j * np.pi * np.arange(d) / d)
     z.flags.writeable = False
     return z
+
+
+def kraus_set(channel: NoiseChannel, t: float) -> KrausSet:
+    """Evaluate the channel's two Kraus operators at time ``t``, as diagonals.
+
+    They are ``sqrt((1 + kappa)/2) * 1`` and ``sqrt((1 - kappa)/2) * z`` with
+    ``z`` the diagonal of ``Z``. The kernel value must lie in ``[-1, 1]`` (up
+    to round-off); completeness ``sum |k_i|^2 = 1`` is verified on construction.
+    """
+    kappa = _checked_kernel(channel, t)
+    d = channel.dim
+    k1 = np.full(d, math.sqrt((1.0 + kappa) / 2.0), dtype=complex)
+    k2 = math.sqrt((1.0 - kappa) / 2.0) * _z_diagonal(d)
+    if float(np.abs(np.abs(k1) ** 2 + np.abs(k2) ** 2 - 1.0).max()) > UNITARY_ATOL:
+        raise RuntimeError("Kraus completeness relation violated")
+    for k in (k1, k2):
+        k.flags.writeable = False
+    return KrausSet(operators=(k1, k2), time=float(t))
+
+
+def apply_channel(rho, ks: KrausSet) -> np.ndarray:
+    """Apply ``rho -> sum_i K_i rho K_i†`` (``K_i = diag(k_i)``) to a density matrix in ``O(dim^2)``."""
+    dim = ks.operators[0].shape[0]
+    rho = check_density(rho, dim=dim)
+    out = np.zeros_like(rho)
+    for k in ks.operators:
+        out += k[:, None] * rho * k.conj()[None, :]
+    return out
 
 
 def dephased_fidelity(channel: NoiseChannel, t: float, psi, phi) -> float:

@@ -13,8 +13,9 @@ from pathlib import Path
 from .operators import walk_spec, walk_unitary
 from .output import render_svg, write_csv, write_matrix_csv
 from .scenarios import (
-    case_study_scenarios,
+    SCENARIO_KEYS,
     default_name,
+    paper_suite,
     parse_scenario_config,
     run_scenario,
     scenario_from_mapping,
@@ -78,12 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Scenario keys that a command-line flag of the same (dashed) name can set.
-_FLAG_KEYS = (
-    "graph", "size", "sender", "receiver", "mode", "receiver_mode",
-    "noise", "rtn_a", "rtn_gamma", "oun_lambda", "oun_gamma", "steps",
-)
-
 # dump-operators assembles three dense dim x dim float64 matrices (32 MiB
 # each at this limit) and checks them in O(dim^3); larger walks are refused.
 DUMP_MAX_DIM = 2048
@@ -91,7 +86,8 @@ DUMP_MAX_DIM = 2048
 
 def _flag_mapping(args: argparse.Namespace) -> dict[str, str]:
     """The scenario keys given on the command line, as strings."""
-    values = {key: getattr(args, key, None) for key in _FLAG_KEYS}
+    # every scenario key has a command-line flag of the same (dashed) name
+    values = {key: getattr(args, key, None) for key in SCENARIO_KEYS}
     return {key: str(value) for key, value in values.items() if value is not None}
 
 
@@ -118,8 +114,7 @@ def _run_command(args: argparse.Namespace) -> int:
 def _suite_command(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, scenario in case_study_scenarios():
-        series = run_scenario(scenario)
+    for name, series in paper_suite():
         write_csv(series, out_dir / f"{name}.csv")
         render_svg(series, out_dir / f"{name}.svg", title=name)
         print(out_dir / f"{name}.csv")

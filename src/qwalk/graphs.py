@@ -128,7 +128,8 @@ def build_graph(n: int, edges) -> Graph:
     pairs = np.asarray(list(edges))
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"):
         raise ValueError(f"edges must be integer pairs, got {pairs.dtype} of shape {pairs.shape}")
-    pairs = pairs.reshape(-1, 2).astype(np.intp)
+    # Range-check in the input dtype: a uint64 endpoint above 2**63 - 1 would wrap in intp.
+    pairs = pairs.reshape(-1, 2)
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
     bad = outside | (pairs[:, 0] == pairs[:, 1])
     if bad.any():
@@ -137,6 +138,7 @@ def build_graph(n: int, edges) -> Graph:
         if outside[k]:
             raise ValueError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         raise ValueError(f"loop edge ({u}, {v}) is not allowed in a simple graph")
+    pairs = pairs.astype(np.intp)
     # k edges touch at most 2k vertices; rejecting a larger n here keeps a
     # huge claimed vertex count from allocating the degree table, and keeps
     # the keys min*n + max below n**2 <= 4k**2, far inside int64.

@@ -15,7 +15,7 @@ tables and curves for these graphs follow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .channels import (
     OUN_DEFAULT_LAMBDA,
     RTN_DEFAULT_A,
     RTN_DEFAULT_GAMMA,
+    KrausSet,
     NoiseChannel,
     apply_channel,
     dephased_fidelity,
@@ -39,6 +40,7 @@ from .operators import RECEIVER_MODES, receiver_state, sender_state, walk_spec, 
 
 __all__ = [
     "Scenario",
+    "SCENARIO_KEYS",
     "FidelitySeries",
     "scenario_graph",
     "run_scenario",
@@ -54,9 +56,12 @@ MODES = ("transfer", "periodicity")
 NOISE_KINDS = ("none", "rtn", "oun")
 
 # The closed-form noisy fidelity is cross-checked against the dense Kraus
-# channel and the general density formula every this many steps.
+# channel and the general density formula, on the target's support, every
+# this many steps.
 _CROSS_CHECK_STRIDE = 25
 _CROSS_CHECK_ATOL = 1e-9
+# A run allocates two float64 series of steps + 1 values (80 MB each here).
+MAX_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -89,8 +94,8 @@ class Scenario:
             raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
         if self.receiver_mode not in RECEIVER_MODES:
             raise ValueError(f"receiver_mode must be one of {RECEIVER_MODES}, got {self.receiver_mode!r}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not 1 <= self.steps <= MAX_STEPS:
+            raise ValueError(f"steps must lie in 1..{MAX_STEPS}, got {self.steps}")
         if self.mode == "periodicity":
             if self.receiver is None:
                 object.__setattr__(self, "receiver", self.sender)
@@ -100,12 +105,24 @@ class Scenario:
                 )
         elif self.receiver is None:
             raise ValueError("transfer mode requires a receiver vertex")
-        # One kernel evaluation rejects bad noise parameters (including the
-        # RTN regime a/gamma <= 0.5) before any graph or operator is built.
-        if self.noise == "rtn":
-            rtn_kernel(0.0, self.rtn_a, self.rtn_gamma)
-        elif self.noise == "oun":
-            oun_kernel(0.0, self.oun_lambda, self.oun_gamma)
+        # A family graph has sum(size) vertices: reject a bad placement before
+        # building it (sizes the family rejects keep the family's message).
+        if not self.graph.startswith("file:") and self.size and min(self.size) >= 1:
+            n = sum(self.size)
+            for label, v in (("sender", self.sender), ("receiver", self.receiver)):
+                if not 0 <= v < n:
+                    raise ValueError(f"{label} vertex {v} outside 0..{n - 1}")
+        # Kernels at both ends of the horizon reject bad noise parameters (say
+        # a/gamma <= 0.5, or an RTN phase overflowing by the end) before any graph.
+        for t in (0.0, float(self.steps)):
+            if self.noise == "rtn":
+                rtn_kernel(t, self.rtn_a, self.rtn_gamma)
+            elif self.noise == "oun":
+                oun_kernel(t, self.oun_lambda, self.oun_gamma)
+
+
+# The flat keys a config file or command line may set: the Scenario fields.
+SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
 
 
 @dataclass(frozen=True)
@@ -159,18 +176,15 @@ def run_scenario(sc: Scenario) -> FidelitySeries:
     ``|<target|psi_t>|^2``; with noise, the noisy fidelity is the
     closed form ``(1 + kappa(t))/2 |<target|psi_t>|^2 + (1 - kappa(t))/2
     |<target|Z psi_t>|^2`` (:func:`~qwalk.channels.dephased_fidelity`). Every
-    ``_CROSS_CHECK_STRIDE`` steps it is checked against the dense route: the
+    ``_CROSS_CHECK_STRIDE`` steps it is checked against the dense route (the
     Kraus channel applied to ``|psi_t><psi_t|`` and the general
-    density-matrix fidelity. A mismatch raises ``RuntimeError``.
+    density-matrix fidelity) on the target's support block; see
+    :func:`_cross_check`. A mismatch raises ``RuntimeError``.
     """
-    graph = scenario_graph(sc)
-    spec = walk_spec(graph, sc.sender, sc.receiver)
+    spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
     step = walk_step(spec)
     psi = sender_state(spec)
-    if sc.mode == "periodicity":
-        target = sender_state(spec)
-    else:
-        target = receiver_state(spec, sc.receiver_mode)
+    target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
     channel = _scenario_channel(sc, spec.space.dim)
 
     noiseless = np.empty(sc.steps + 1)
@@ -189,8 +203,21 @@ def run_scenario(sc: Scenario) -> FidelitySeries:
 
 def _cross_check(channel: NoiseChannel, t: int, psi: np.ndarray, target: np.ndarray,
                  closed_form: float) -> None:
-    rho = apply_channel(np.outer(psi, psi.conj()), kraus_set(channel, t))
-    dense = fidelity_density(rho, np.outer(target, target.conj()))
+    """Check the closed form against the dense Kraus route on ``S = supp(target)``.
+
+    The Kraus operators are diagonal, so ``(K rho K†)_SS = K_SS rho_SS K_SS†`` and
+    ``<phi|E(|psi><psi|)|phi> = p F(E_S(a a†/p), phi_S phi_S†)`` with ``a = psi_S``,
+    ``p = |a|^2``: ``|S| x |S|`` matrices, ``|S|`` the receiver's (in-)degree.
+    """
+    support = np.flatnonzero(target)
+    a, phi = psi[support], target[support]
+    p = float(np.vdot(a, a).real)
+    ks = kraus_set(channel, t)
+    dense = 0.0
+    if p > 0.0:
+        block = KrausSet(operators=tuple(k[support] for k in ks.operators), time=ks.time)
+        rho = apply_channel(np.outer(a, a.conj()) / p, block)
+        dense = p * fidelity_density(rho, np.outer(phi, phi.conj()))
     if abs(dense - closed_form) > _CROSS_CHECK_ATOL:
         raise RuntimeError(
             f"fidelity cross-check failed at t={t}: "
@@ -241,17 +268,10 @@ def peak_steps(values, ratio: float = 0.9) -> list[int]:
     neighbour's value and strictly above ``ratio * max(values)``.
     """
     values = np.asarray(values, dtype=float)
-    top = values.max()
-    peaks = []
-    for t, v in enumerate(values):
-        if v <= ratio * top:
-            continue
-        if t > 0 and v < values[t - 1]:
-            continue
-        if t < len(values) - 1 and v < values[t + 1]:
-            continue
-        peaks.append(t)
-    return peaks
+    left = np.r_[-np.inf, values[:-1]]
+    right = np.r_[values[1:], -np.inf]
+    peaks = (values > ratio * values.max()) & (values >= left) & (values >= right)
+    return np.flatnonzero(peaks).tolist()
 
 
 def parse_scenario_config(text: str) -> dict[str, str]:
@@ -268,6 +288,15 @@ def parse_scenario_config(text: str) -> dict[str, str]:
     return mapping
 
 
+# How scenario_from_mapping reads each key that is not a plain string.
+_PARSERS = {
+    "size": lambda text: tuple(int(part) for part in text.split(",") if part.strip()),
+    "sender": int, "receiver": int, "steps": int,
+    "rtn_a": float, "rtn_gamma": float, "oun_lambda": float, "oun_gamma": float,
+    "mode": lambda text: "transfer" if text == "state_transfer" else text,
+}
+
+
 def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     """Build a scenario from flat string keys (config file or CLI values).
 
@@ -275,32 +304,13 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     integer or two comma-separated integers, and ``state_transfer`` is
     accepted as an alias of ``transfer``.
     """
-    known = {
-        "graph", "size", "sender", "receiver", "mode", "receiver_mode",
-        "noise", "rtn_a", "rtn_gamma", "oun_lambda", "oun_gamma", "steps",
-    }
-    unknown = set(mapping) - known
+    unknown = set(mapping) - set(SCENARIO_KEYS)
     if unknown:
         raise ValueError(f"unknown scenario key(s): {sorted(unknown)}")
     if "graph" not in mapping:
         raise ValueError("scenario needs a 'graph' entry")
 
-    kwargs: dict[str, object] = {"graph": mapping["graph"]}
-    if "size" in mapping:
-        kwargs["size"] = tuple(int(part) for part in mapping["size"].split(",") if part.strip())
-    for key in ("sender", "receiver", "steps"):
-        if key in mapping:
-            kwargs[key] = int(mapping[key])
-    for key in ("rtn_a", "rtn_gamma", "oun_lambda", "oun_gamma"):
-        if key in mapping:
-            kwargs[key] = float(mapping[key])
-    for key in ("receiver_mode", "noise"):
-        if key in mapping:
-            kwargs[key] = mapping[key]
-    if "mode" in mapping:
-        mode = mapping["mode"]
-        kwargs["mode"] = "transfer" if mode == "state_transfer" else mode
-    return Scenario(**kwargs)
+    return Scenario(**{key: _PARSERS.get(key, str)(value) for key, value in mapping.items()})
 
 
 def default_name(sc: Scenario) -> str:

@@ -5,18 +5,22 @@ are computed with explicit loops, evolution with explicit matrix powers,
 and matrix square roots via scipy's Schur-based algorithm. The dense
 density-matrix routes (``evolve_density``, ``noisy_state``) build the
 channel output as a ``dim x dim`` matrix, which the library's closed-form
-noisy fidelity never does. ``reference_graph`` and ``reference_edge_space``
-are the tuple/set/dict graph layer the array-native one replaced.
+noisy fidelity never does; ``noisy_state`` applies the channel as a sum of
+dense Weyl-matrix Kraus products (``weyl_operator``, ``dense_kraus_set``,
+``dense_apply_channel``), where the library stores only the diagonals.
+``reference_graph`` and ``reference_edge_space`` are the tuple/set/dict
+graph layer the array-native one replaced.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from qwalk.channels import NoiseChannel, apply_channel, kraus_set
-from qwalk.linalg import check_density
+from qwalk.channels import KrausSet, NoiseChannel
+from qwalk.linalg import UNITARY_ATOL, check_density
 from qwalk.operators import WalkOperators
 
 
@@ -55,6 +59,50 @@ def evolve_density(ops: WalkOperators, rho0, t: int) -> np.ndarray:
     return rho
 
 
+def weyl_operator(d: int, u: int, v: int) -> np.ndarray:
+    """Weyl operator of order ``d``: phase ``u``, cyclic shift ``v``.
+
+    ``W[k, (k + v) % d] = exp(2 pi i k u / d)``; ``W(0, 0)`` is the
+    identity and in ``d = 2`` the pair ``(1, 0)`` gives the Pauli Z matrix.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if not (0 <= u < d and 0 <= v < d):
+        raise ValueError(f"Weyl indices must lie in 0..{d - 1}, got (u, v) = ({u}, {v})")
+    w = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        w[k, (k + v) % d] = np.exp(2j * np.pi * k * u / d)
+    return w
+
+
+def dense_kraus_set(channel: NoiseChannel, t: float) -> KrausSet:
+    """The channel's two Kraus operators at time ``t`` as dense Weyl matrices.
+
+    The kernel value is clamped into ``[-1, 1]``; the completeness relation
+    ``sum K†K = I`` is verified with a matrix product.
+    """
+    kappa = min(1.0, max(-1.0, channel.kernel(t)))
+    d = channel.dim
+    k1 = math.sqrt((1.0 + kappa) / 2.0) * weyl_operator(d, 0, 0)
+    k2 = math.sqrt((1.0 - kappa) / 2.0) * weyl_operator(d, 1, 0)
+    total = k1.conj().T @ k1 + k2.conj().T @ k2
+    if float(np.abs(total - np.eye(d)).max()) > UNITARY_ATOL:
+        raise RuntimeError("Kraus completeness relation violated")
+    for k in (k1, k2):
+        k.flags.writeable = False
+    return KrausSet(operators=(k1, k2), time=float(t))
+
+
+def dense_apply_channel(rho, ks: KrausSet) -> np.ndarray:
+    """Apply ``rho -> sum_i K_i rho K_i†`` with dense Kraus matrices."""
+    dim = ks.operators[0].shape[0]
+    rho = check_density(rho, dim=dim)
+    out = np.zeros_like(rho)
+    for k in ks.operators:
+        out += k @ rho @ k.conj().T
+    return out
+
+
 def noisy_state(ops: WalkOperators, psi0, channel: NoiseChannel, t: int) -> np.ndarray:
     """Density matrix after ``t`` noiseless steps followed by one channel pass.
 
@@ -65,7 +113,7 @@ def noisy_state(ops: WalkOperators, psi0, channel: NoiseChannel, t: int) -> np.n
         raise ValueError(f"channel dimension {channel.dim} != walk dimension {ops.dim}")
     psi_t = power_evolved(ops.unitary, psi0, t)
     rho_t = np.outer(psi_t, psi_t.conj())
-    return apply_channel(rho_t, kraus_set(channel, t))
+    return dense_apply_channel(rho_t, dense_kraus_set(channel, t))
 
 
 def uhlmann_fidelity_scipy(rho, sigma) -> float:

@@ -94,7 +94,7 @@ def test_criterion_5_channel_sanity():
             eye = np.eye(dim)
             for t in range(101):
                 ks = kraus_set(channel, float(t))
-                total = sum(k.conj().T @ k for k in ks.operators)
+                total = sum(np.diag(k).conj().T @ np.diag(k) for k in ks.operators)
                 completeness = max(completeness, float(np.abs(total - eye).max()))
     kernels_at_zero = max(abs(rtn_kernel(0.0) - 1.0), abs(oun_kernel(0.0) - 1.0))
     oun_values = [oun_kernel(float(t)) for t in range(1, 101)]

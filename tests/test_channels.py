@@ -16,10 +16,9 @@ from qwalk.channels import (
     oun_kernel,
     rtn_channel,
     rtn_kernel,
-    weyl_operator,
 )
 
-from .oracles import random_density
+from .oracles import dense_apply_channel, dense_kraus_set, random_density, weyl_operator
 
 # Frozen kernel values for the default parameters (a=0.1, gamma=0.01 and
 # lam=1, gamma=0.05), computed from the closed forms at 40-digit precision.
@@ -150,8 +149,8 @@ def test_channel_constructors_validate():
 def test_kraus_identity_at_time_zero():
     for channel in (rtn_channel(6), oun_channel(6)):
         ks = kraus_set(channel, 0.0)
-        assert np.allclose(ks.operators[0], np.eye(6))
-        assert np.abs(ks.operators[1]).max() == 0.0
+        assert np.allclose(np.diag(ks.operators[0]), np.eye(6))
+        assert np.abs(np.diag(ks.operators[1])).max() == 0.0
 
 
 @pytest.mark.parametrize("dim", [8, 10, 12])
@@ -161,7 +160,7 @@ def test_kraus_completeness(dim, make):
     eye = np.eye(dim)
     for t in range(0, 101, 7):
         ks = kraus_set(channel, float(t))
-        total = sum(k.conj().T @ k for k in ks.operators)
+        total = sum(np.diag(k).conj().T @ np.diag(k) for k in ks.operators)
         assert np.abs(total - eye).max() <= 1e-12
 
 
@@ -169,18 +168,79 @@ def test_kraus_weights_sum_to_one():
     channel = oun_channel(12)
     ks = kraus_set(channel, 50.0)
     p = oun_kernel(50.0)
-    w1 = float(np.abs(ks.operators[0][0, 0]) ** 2)
-    w2 = float(np.abs(ks.operators[1][0, 0]) ** 2)
+    w1 = float(np.abs(np.diag(ks.operators[0])[0, 0]) ** 2)
+    w2 = float(np.abs(np.diag(ks.operators[1])[0, 0]) ** 2)
     assert math.isclose(w1, (1 + p) / 2, rel_tol=1e-12)
     assert math.isclose(w2, (1 - p) / 2, rel_tol=1e-12)
     assert math.isclose(w1 + w2, 1.0, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("make", [rtn_channel, oun_channel])
+def test_kraus_set_is_the_diagonal_of_the_weyl_operators(make):
+    for dim in (2, 5, 12):
+        channel = make(dim)
+        for t in (0.0, 3.0, 16.0, 57.0):
+            kappa = channel.kernel(t)
+            weights = ((1 + kappa) / 2, (1 - kappa) / 2)
+            ks = kraus_set(channel, t)
+            assert ks.time == t
+            for k, w, weyl in zip(ks.operators, weights, (weyl_operator(dim, 0, 0),
+                                                          weyl_operator(dim, 1, 0))):
+                assert k.shape == (dim,) and not k.flags.writeable
+                assert np.abs(np.diag(k) - math.sqrt(w) * weyl).max() <= 1e-15
+
+
+def test_apply_channel_matches_dense_weyl_kraus_sum():
+    rng = np.random.default_rng(36)
+    for make in (rtn_channel, oun_channel):
+        for dim in (2, 7, 16):
+            channel = make(dim)
+            for t in (0.0, 9.0, 33.0):
+                rho = random_density(rng, dim)
+                diagonal = apply_channel(rho, kraus_set(channel, t))
+                dense = dense_apply_channel(rho, dense_kraus_set(channel, t))
+                assert np.abs(diagonal - dense).max() <= 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_kernels_and_channels_reject_non_finite_or_non_positive_parameters(bad):
+    for call in (
+        lambda: rtn_kernel(1.0, a=bad),
+        lambda: rtn_kernel(1.0, gamma=bad),
+        lambda: oun_kernel(1.0, lam=bad),
+        lambda: oun_kernel(1.0, gamma=bad),
+        lambda: rtn_channel(4, a=bad),
+        lambda: oun_channel(4, gamma=bad),
+    ):
+        with pytest.raises(ValueError, match="finite and positive"):
+            call()
+
+
+def test_rtn_kernel_rejects_overflowing_phase():
+    for t, a, gamma in (
+        (0.0, 1e200, 1.0),  # (2a/gamma)^2 would overflow
+        (0.0, 1e308, 1.0),  # 2a itself overflows
+        (1e9, 1e300, 1e160),  # nu * gamma = 2e300 is finite, the phase is not
+    ):
+        with pytest.raises(ValueError, match="overflows the phase"):
+            rtn_kernel(t, a, gamma)
+
+
+def test_oun_kernel_stays_in_unit_interval_at_tiny_gamma_t():
+    # (exp(-gamma t) - 1)/gamma loses all precision at gamma t ~ 1e-9; the
+    # exponent must still not turn positive (kernel > 1) or overflow
+    for lam, gamma in ((1.0, 1e-9), (1.0, 1e-12), (1e308, 1e-9)):
+        values = [oun_kernel(float(t), lam, gamma) for t in range(101)]
+        assert all(0.0 <= v <= 1.0 for v in values)
+        assert kraus_set(oun_channel(4, lam, gamma), 50.0).time == 50.0
+
+
 def test_kraus_rejects_kernel_outside_unit_interval():
-    with pytest.raises(ValueError, match="invalid kernel"):
-        kraus_set(stub_channel(4, 1.5), 3.0)
-    with pytest.raises(ValueError, match="invalid kernel"):
-        dephased_fidelity(stub_channel(4, 1.5), 3.0, np.eye(4)[0], np.eye(4)[0])
+    for value in (1.5, -1.5, math.nan, math.inf):  # NaN fails every comparison
+        with pytest.raises(ValueError, match="invalid kernel"):
+            kraus_set(stub_channel(4, value), 3.0)
+        with pytest.raises(ValueError, match="invalid kernel"):
+            dephased_fidelity(stub_channel(4, value), 3.0, np.eye(4)[0], np.eye(4)[0])
 
 
 def test_dephased_fidelity_on_plus_state():

@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from qwalk.cli import main
 from qwalk.graphs import path_graph
@@ -132,6 +133,24 @@ def test_cli_entry_point_runs_as_module(tmp_path):
     assert (tmp_path / "path5_transfer_s0_r4_none.csv").exists()
 
 
+def test_run_and_paper_suite_need_neither_scipy_nor_hypothesis(tmp_path):
+    # scipy and hypothesis are test-only dependencies: the commands must not import them
+    script = (
+        "import sys\n"
+        "from qwalk.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['run', '--graph', 'cycle', '--size', '6', '--sender', '0',\n"
+        "             '--receiver', '3', '--noise', 'rtn', '--out', out]) == 0\n"
+        "assert main(['paper-suite', '--out', out]) == 0\n"
+        "print(sorted({'scipy', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("*.csv"))) == 23
+
+
 def test_dump_operators_requires_size_for_families(tmp_path, capsys):
     code = main(
         ["dump-operators", "--graph", "path", "--sender", "0", "--receiver", "1",
@@ -159,13 +178,77 @@ def test_run_rejects_rtn_regime_before_building(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and "a/gamma" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--noise", "rtn", "--rtn-a", "nan"],
+        ["--noise", "rtn", "--rtn-a", "inf"],
+        ["--noise", "rtn", "--rtn-gamma=-inf"],
+        ["--noise", "oun", "--oun-lambda", "nan"],
+        ["--noise", "oun", "--oun-gamma", "inf"],
+    ],
+)
+def test_run_rejects_non_finite_noise_parameters_before_building(tmp_path, capsys, monkeypatch,
+                                                                  flags):
+    import qwalk.scenarios
+
+    def unreachable(*args):
+        raise AssertionError("the graph was built before the noise parameters were checked")
+
+    monkeypatch.setattr(qwalk.scenarios, "scenario_graph", unreachable)
+    code = main(
+        [
+            "run", "--graph", "cycle", "--size", "6", "--sender", "0", "--receiver", "3",
+            "--receiver-mode", "outgoing", *flags, "--out", str(tmp_path),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: parameters must be finite and positive")
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_rejects_family_vertex_range_before_building(tmp_path, capsys, monkeypatch):
+    import qwalk.scenarios
+
+    def unreachable(*args):
+        raise AssertionError("the graph was built before the placement was checked")
+
+    monkeypatch.setattr(qwalk.scenarios, "scenario_graph", unreachable)
+    code = main(
+        [
+            "run", "--graph", "cycle", "--size", "3000000", "--sender", "0",
+            "--receiver", "5000000", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: receiver vertex 5000000 outside 0..2999999\n"
+
+
+def test_run_rejects_a_horizon_too_long_to_store(tmp_path, capsys):
+    # 10**12 steps used to fail allocating the series with a MemoryError traceback
+    code = main(
+        [
+            "run", "--graph", "path", "--size", "5", "--sender", "0", "--receiver", "4",
+            "--steps", str(10**12), "--out", str(tmp_path),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: steps must lie in 1..")
+
+
 def test_run_reports_internal_error_with_exit_three(tmp_path, capsys, monkeypatch):
     import qwalk.scenarios
 
     monkeypatch.setattr(qwalk.scenarios, "fidelity_density", lambda rho, sigma: 0.5)
+    # a periodicity run starts on its own target, so the t=0 check reaches the
+    # dense route (a transfer walker off the target's support skips it)
     code = main(
         [
-            "run", "--graph", "cycle", "--size", "6", "--sender", "0", "--receiver", "3",
+            "run", "--graph", "cycle", "--size", "6", "--sender", "0", "--mode", "periodicity",
             "--noise", "rtn", "--steps", "4", "--out", str(tmp_path),
         ]
     )

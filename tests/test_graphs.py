@@ -41,6 +41,16 @@ def test_out_of_range_endpoint_rejected():
         build_graph(3, [(0, 3)])
 
 
+def test_unsigned_endpoint_above_int64_named_as_given():
+    # the range check runs before the cast to intp, which would wrap the value
+    edges = np.array([[0, 2**63 + 1], [1, 2]], dtype=np.uint64)
+    with pytest.raises(ValueError) as err:
+        build_graph(3, edges)
+    assert str(err.value) == "edge (0, 9223372036854775809) has an endpoint outside 0..2"
+    g = build_graph(3, np.array([[2, 1], [0, 1]], dtype=np.uint64))
+    assert g.edges.dtype == np.intp and g.edges.tolist() == [[0, 1], [1, 2]]
+
+
 def test_isolated_vertex_rejected():
     with pytest.raises(ValueError, match="isolated vertex"):
         build_graph(3, [(0, 1)])

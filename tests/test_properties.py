@@ -1,10 +1,18 @@
-"""Property tests on random graphs: the array graph layer against the reference.
+"""Property tests on random graphs and fuzzed scenario input.
+
+The array graph layer is checked against the reference, the matrix-free
+step against the dense unitary, and the scenario parsers and runner against
+their contracts (only ``ValueError`` on bad input, fidelities in [0, 1]).
 
 Every property runs derandomized (the examples are a function of the test
 alone) and without the example database, so a run is reproducible.
 """
 
 from __future__ import annotations
+
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +21,13 @@ from hypothesis import strategies as st
 
 from qwalk.graphs import build_graph, edge_space, parse_graph_file
 from qwalk.operators import receiver_state, walk_spec, walk_step, walk_unitary
+from qwalk.scenarios import (
+    Scenario,
+    parse_scenario_config,
+    peak_steps,
+    run_scenario,
+    scenario_from_mapping,
+)
 
 from .oracles import arcs, random_pure, reference_edge_space, reference_graph
 
@@ -138,3 +153,128 @@ def test_parse_graph_file_raises_only_value_error(text):
     except ValueError:
         return
     assert g.n >= 2 and g.m >= 1 and g.degrees.min() >= 1
+
+
+_SCENARIO_KEYS = ("graph", "size", "sender", "receiver", "mode", "receiver_mode", "noise",
+                  "rtn_a", "rtn_gamma", "oun_lambda", "oun_gamma", "steps")
+_SCENARIO_VALUES = st.one_of(
+    st.sampled_from([
+        "path", "cycle", "star", "kab", "complete_bipartite", "file:", "transfer",
+        "state_transfer", "periodicity", "incoming", "outgoing", "none", "rtn", "oun",
+        "0", "1", "3", "-1", "2,3", "5,", ",", "1,2,3", "0.1", "0.01", "0.004", "1e308",
+        "1e-320", "nan", "inf", "-inf", "1_0", "0x1", "", " ", "10" * 20,
+    ]),
+    st.integers(-10, 10**7).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=8),
+)
+
+
+# A valid placement on a small family, so that fuzzed entries on top of it
+# exercise the later checks too, not only the missing-key ones.
+_BASE = st.sampled_from([
+    {},
+    {"graph": "path", "size": "5", "sender": "0", "receiver": "4"},
+    {"graph": "kab", "size": "2,3", "sender": "0", "mode": "periodicity"},
+    {"graph": "cycle", "size": "6", "sender": "1", "receiver": "3", "noise": "rtn"},
+    {"graph": "star", "size": "6", "sender": "0", "receiver": "1", "noise": "oun"},
+])
+
+
+@_settings(max_examples=400)
+@given(_BASE, st.dictionaries(st.one_of(st.sampled_from(_SCENARIO_KEYS), st.text(max_size=6)),
+                              _SCENARIO_VALUES, max_size=3))
+def test_scenario_from_mapping_raises_only_value_error(base, fuzz):
+    mapping = {**base, **fuzz}
+    try:
+        sc = scenario_from_mapping(mapping)
+    except ValueError:
+        event("rejected")
+        return
+    event("accepted")
+    assert isinstance(sc, Scenario) and sc.steps >= 1 and sc.receiver is not None
+
+
+_CONFIG_LINES = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(_SCENARIO_KEYS), _SCENARIO_VALUES).map(" = ".join),
+        st.sampled_from(["# comment", "", "graph", "= 3", "a = b = c", "size = 2 # pair"]),
+        st.text(max_size=20),
+    ),
+    max_size=10,
+).map("\n".join)
+
+
+@_settings(max_examples=300)
+@given(_BASE, st.one_of(st.text(max_size=80), _CONFIG_LINES))
+def test_parse_scenario_config_raises_only_value_error(base, fuzz):
+    text = "".join(f"{key} = {value}\n" for key, value in base.items()) + fuzz
+    try:
+        mapping = parse_scenario_config(text)
+        scenario_from_mapping(mapping)
+    except ValueError:
+        event("rejected")
+        return
+    event("accepted")
+    assert all(isinstance(k, str) and isinstance(v, str) for k, v in mapping.items())
+
+
+_NOISE_PARAMETER = st.one_of(
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# (a, gamma): half the draws inside the RTN memory regime a/gamma > 0.5
+_RTN_PARAMETERS = st.one_of(
+    st.tuples(st.floats(1e-3, 1.0), st.floats(0.51, 1e3)).map(lambda p: (p[0] * p[1], p[0])),
+    st.tuples(_NOISE_PARAMETER, _NOISE_PARAMETER),
+)
+
+
+@_settings(max_examples=120)
+@given(graph_inputs(max_n=9), st.data())
+def test_accepted_runs_have_fidelities_in_unit_interval(graph_input, data):
+    # any scenario that construction accepts runs to the end, and both
+    # fidelity columns stay in [0, 1]
+    n, edges = graph_input
+    noise = data.draw(st.sampled_from(["none", "rtn", "oun"]), label="noise")
+    params = {key: data.draw(_NOISE_PARAMETER, label=key) for key in ("oun_lambda", "oun_gamma")}
+    params["rtn_a"], params["rtn_gamma"] = data.draw(_RTN_PARAMETERS, label="rtn")
+    periodicity = data.draw(st.booleans(), label="periodicity")
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "g.txt"
+        graph.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        try:
+            sc = Scenario(
+                graph=f"file:{graph}",
+                sender=data.draw(st.integers(0, n - 1), label="sender"),
+                receiver=None if periodicity else data.draw(st.integers(0, n - 1), label="receiver"),
+                mode="periodicity" if periodicity else "transfer",
+                receiver_mode=data.draw(st.sampled_from(["incoming", "outgoing"]), label="mode"),
+                noise=noise,
+                steps=data.draw(st.integers(1, 60), label="steps"),
+                **params,
+            )
+        except ValueError:
+            event("rejected")
+            return
+        event(f"accepted {noise}")
+        series = run_scenario(sc)
+    for column in (series.noiseless, series.noisy):
+        if column is not None:
+            assert len(column) == sc.steps + 1
+            assert all(math.isfinite(f) and 0.0 <= f <= 1.0 for f in column)
+
+
+@_settings(max_examples=300)
+@given(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 0.95, 1.0]) | st.floats(0.0, 1.0),
+                min_size=1, max_size=30),
+       st.floats(0.0, 1.0))
+def test_peak_steps_matches_its_definition(values, ratio):
+    top = max(values)
+    expected = [
+        t for t, v in enumerate(values)
+        if v > ratio * top
+        and (t == 0 or v >= values[t - 1])
+        and (t == len(values) - 1 or v >= values[t + 1])
+    ]
+    assert peak_steps(values, ratio) == expected

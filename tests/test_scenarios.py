@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qwalk.channels import apply_channel, kraus_set, oun_channel, rtn_channel
+from qwalk.channels import oun_channel, rtn_channel
 from qwalk.fidelity import fidelity_density
+from qwalk.graphs import path_graph
 from qwalk.operators import receiver_state, sender_state, walk_spec, walk_unitary
 from qwalk.scenarios import (
+    MAX_STEPS,
     FidelitySeries,
     Scenario,
     case_study_scenarios,
@@ -21,7 +23,7 @@ from qwalk.scenarios import (
     scenario_graph,
 )
 
-from .oracles import random_simple_graph
+from .oracles import dense_apply_channel, dense_kraus_set, random_simple_graph
 
 
 def test_scenario_validation():
@@ -33,6 +35,10 @@ def test_scenario_validation():
         Scenario(graph="path", size=(5,), sender=0, receiver=1, receiver_mode="both")
     with pytest.raises(ValueError, match="steps"):
         Scenario(graph="path", size=(5,), sender=0, receiver=1, steps=0)
+    for steps in (MAX_STEPS + 1, 10**400):  # the series would not fit; 10**400 is no float
+        with pytest.raises(ValueError, match="steps must lie in"):
+            Scenario(graph="path", size=(5,), sender=0, receiver=1, noise="rtn", steps=steps)
+    assert Scenario(graph="path", size=(5,), sender=0, receiver=1, steps=MAX_STEPS).steps == MAX_STEPS
     with pytest.raises(ValueError, match="requires a receiver"):
         Scenario(graph="path", size=(5,), sender=0)
     with pytest.raises(ValueError, match="a/gamma"):
@@ -204,8 +210,9 @@ def _random_graph_scenarios(tmp_path) -> list[tuple[str, Scenario]]:
 
 
 def test_noisy_series_matches_dense_channel_at_every_step(tmp_path):
-    # the closed form against the dense Kraus channel and the general
-    # density formula, at every step rather than the runner's sampled ones
+    # the closed form against the dense Weyl-matrix Kraus channel on the full
+    # space and the general density formula, at every step rather than the
+    # runner's sampled ones
     cases = case_study_scenarios() + _random_graph_scenarios(tmp_path)
     assert len(cases) == 22 + 12
     for name, sc in cases:
@@ -221,7 +228,7 @@ def test_noisy_series_matches_dense_channel_at_every_step(tmp_path):
             channel = oun_channel(ops.dim, lam=sc.oun_lambda, gamma=sc.oun_gamma)
         rho = np.outer(psi, psi.conj())
         for t in range(sc.steps + 1):
-            dense = fidelity_density(apply_channel(rho, kraus_set(channel, t)), sigma)
+            dense = fidelity_density(dense_apply_channel(rho, dense_kraus_set(channel, t)), sigma)
             assert abs(series.noisy[t] - dense) <= 1e-12, (name, t)
             rho = ops.unitary @ rho @ ops.unitary.conj().T
 
@@ -276,3 +283,87 @@ def test_noiseless_run_allocates_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < dim * dim * 8  # one dim x dim float64 array
+
+
+def test_noisy_run_allocates_no_dense_matrix():
+    # the stride-25 cross-check runs on the target's support, so a noisy run
+    # stays O(dim) in memory too
+    for noise in ("rtn", "oun"):
+        sc = Scenario(graph="cycle", size=(500,), sender=0, receiver=250, noise=noise, steps=100)
+        dim = walk_spec(scenario_graph(sc), 0, 250).space.dim
+        assert dim >= 1000
+        run_scenario(replace(sc, steps=1))  # warm caches outside the measurement
+        tracemalloc.start()
+        try:
+            run_scenario(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * dim * 8  # one dim x dim float64 array
+
+
+def test_cross_check_reads_only_the_target_support_block(monkeypatch, tmp_path):
+    import qwalk.scenarios
+
+    real = qwalk.scenarios.fidelity_density
+    seen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def spy(rho, sigma):
+        seen.append((np.shape(rho), np.shape(sigma)))
+        return real(rho, sigma)
+
+    monkeypatch.setattr(qwalk.scenarios, "fidelity_density", spy)
+    graph = _write_graph_file(tmp_path / "g.txt", 9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                                                      (5, 6), (6, 7), (7, 8), (8, 0), (4, 0),
+                                                      (4, 2), (4, 7)])
+    cases = [
+        (Scenario(graph="kab", size=(4, 5), sender=0, receiver=4, noise="rtn", steps=100), 4),
+        (Scenario(graph="star", size=(8,), sender=0, mode="periodicity", noise="oun",
+                  steps=100), 7),
+        (Scenario(graph=graph, sender=0, receiver=4, noise="rtn", steps=100), 5),
+        (Scenario(graph=graph, sender=3, receiver=4, noise="oun", receiver_mode="outgoing",
+                  steps=100), 5),
+    ]
+    for sc, support in cases:
+        seen.clear()
+        series = run_scenario(sc)
+        assert series.steps == 100
+        assert seen, sc  # the dense route ran at least once
+        assert all(rho == sigma == (support, support) for rho, sigma in seen), sc
+
+
+def test_cross_check_skips_the_dense_route_when_psi_misses_the_support(monkeypatch):
+    import qwalk.scenarios
+
+    def unreachable(rho, sigma):
+        raise AssertionError("fidelity_density called with zero weight on the support")
+
+    monkeypatch.setattr(qwalk.scenarios, "fidelity_density", unreachable)
+    # at t = 0 the walker sits on vertex 0's arcs, two vertices away from 3's
+    series = run_scenario(Scenario(graph="cycle", size=(6,), sender=0, receiver=3,
+                                   noise="rtn", steps=24))
+    assert series.noisy[0] == 0.0
+
+
+def test_family_placement_rejected_before_the_graph_is_built(monkeypatch):
+    import qwalk.scenarios
+
+    def unreachable(*args):
+        raise AssertionError("the graph was built before the placement was checked")
+
+    monkeypatch.setattr(qwalk.scenarios, "scenario_graph", unreachable)
+    for kwargs, message in (
+        ({"graph": "cycle", "size": (3_000_000,), "sender": 0, "receiver": 5_000_000},
+         "receiver vertex 5000000 outside 0..2999999"),
+        ({"graph": "kab", "size": (2, 3), "sender": 5, "receiver": 0},
+         "sender vertex 5 outside 0..4"),
+        ({"graph": "path", "size": (5,), "sender": -1, "receiver": 0},
+         "sender vertex -1 outside 0..4"),
+        ({"graph": "star", "size": (6,), "sender": 6, "mode": "periodicity"},
+         "sender vertex 6 outside 0..5"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Scenario(**kwargs)
+    # the same wording as WalkSpec, which still guards file graphs
+    with pytest.raises(ValueError, match="receiver vertex 9 outside 0..4"):
+        walk_spec(path_graph(5), 0, 9)
