@@ -11,7 +11,6 @@ from .channels import (
     KrausSet,
     NoiseChannel,
     apply_channel,
-    dephased_fidelity,
     kraus_set,
     oun_channel,
     oun_kernel,
@@ -93,7 +92,6 @@ __all__ = [
     "oun_channel",
     "kraus_set",
     "apply_channel",
-    "dephased_fidelity",
     "evolve_pure",
     "fidelity_pure",
     "fidelity_density",

@@ -17,21 +17,20 @@ fidelity therefore has the closed form
 
     F(t) = (1 + kappa(t)) / 2 * |<phi|psi>|^2 + (1 - kappa(t)) / 2 * |<phi|Z psi>|^2
 
-which :func:`dephased_fidelity` evaluates in ``O(dim)``. The density-matrix
-route, :func:`kraus_set` followed by :func:`apply_channel`, applies the same
-channel to a density matrix and serves as its independent check.
+which :func:`dephased_series` evaluates on a run's overlap series. The route
+via :func:`kraus_set` and :func:`apply_channel` applies the same channel to a
+density matrix and serves as its independent check.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import _clamp
+from .fidelity import clamp_fidelity
 from .linalg import UNITARY_ATOL, check_density
 
 __all__ = [
@@ -47,7 +46,8 @@ __all__ = [
     "oun_channel",
     "kraus_set",
     "apply_channel",
-    "dephased_fidelity",
+    "flipped_overlap",
+    "dephased_series",
 ]
 
 RTN_DEFAULT_A = 0.1
@@ -125,16 +125,10 @@ class NoiseChannel:
 
 
 def rtn_channel(dim: int, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> NoiseChannel:
-    """Random-telegraph channel; warns outside the memory regime ``a/gamma > 0.5``."""
+    """Random-telegraph channel; raises outside the oscillatory regime ``a/gamma > 0.5``."""
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    _check_parameters(a=a, gamma=gamma)
-    if a / gamma <= 0.5:
-        warnings.warn(
-            f"a/gamma = {a / gamma:.6g} <= 0.5: outside the oscillatory memory regime; "
-            "kernel evaluation will fail",
-            stacklevel=2,
-        )
+    rtn_kernel(0.0, a, gamma)  # rejects what every later kernel evaluation would
     return NoiseChannel(kind="rtn", dim=dim, a=a, gamma=gamma)
 
 
@@ -201,22 +195,16 @@ def apply_channel(rho, ks: KrausSet) -> np.ndarray:
     return out
 
 
-def dephased_fidelity(channel: NoiseChannel, t: float, psi, phi) -> float:
-    """``<phi| E_t(|psi><psi|) |phi>`` for the channel ``E_t`` at time ``t``, in ``O(dim)``.
+def flipped_overlap(psi: np.ndarray, phi: np.ndarray) -> float:
+    """``|<phi|Z psi>|^2`` for two state vectors of one dimension, in ``O(dim)``."""
+    return abs(np.vdot(phi, _z_diagonal(len(psi)) * psi)) ** 2
 
-    Both Kraus operators are diagonal, so the fidelity is the kernel-weighted
-    mix ``(1 + kappa)/2 |<phi|psi>|^2 + (1 - kappa)/2 |<phi|Z psi>|^2``. It
-    equals ``fidelity_pure_target(apply_channel(|psi><psi|, kraus_set(channel, t)), phi)``
-    without forming any ``dim x dim`` matrix.
+
+def dephased_series(channel: NoiseChannel, kept: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+    """The closed form ``<phi|E_t(|psi_t><psi_t|)|phi>`` at ``t = 0 .. len(kept) - 1``.
+
+    ``kept[t] = |<phi|psi_t>|^2`` and ``flipped[t] = |<phi|Z psi_t>|^2``. It equals the
+    :func:`kraus_set` + :func:`apply_channel` route without any ``dim x dim`` matrix.
     """
-    psi = np.asarray(psi, dtype=complex)
-    phi = np.asarray(phi, dtype=complex)
-    d = channel.dim
-    if psi.shape != (d,) or phi.shape != (d,):
-        raise ValueError(
-            f"states have shapes {psi.shape} and {phi.shape}, expected ({d},) for the channel"
-        )
-    kappa = _checked_kernel(channel, t)
-    kept = abs(np.vdot(phi, psi)) ** 2
-    flipped = abs(np.vdot(phi, _z_diagonal(d) * psi)) ** 2
-    return _clamp((1.0 + kappa) / 2.0 * kept + (1.0 - kappa) / 2.0 * flipped)
+    kappa = np.array([_checked_kernel(channel, t) for t in range(len(kept))])
+    return clamp_fidelity((1.0 + kappa) / 2.0 * kept + (1.0 - kappa) / 2.0 * flipped)

@@ -27,14 +27,15 @@ from .channels import (
     KrausSet,
     NoiseChannel,
     apply_channel,
-    dephased_fidelity,
+    dephased_series,
+    flipped_overlap,
     kraus_set,
     oun_channel,
     oun_kernel,
     rtn_channel,
     rtn_kernel,
 )
-from .fidelity import fidelity_density, fidelity_pure
+from .fidelity import NORM_ATOL, clamp_fidelity, fidelity_density
 from .graphs import Graph, load_graph_file, standard_family
 from .operators import RECEIVER_MODES, receiver_state, sender_state, walk_spec, walk_step
 
@@ -60,7 +61,7 @@ NOISE_KINDS = ("none", "rtn", "oun")
 # this many steps.
 _CROSS_CHECK_STRIDE = 25
 _CROSS_CHECK_ATOL = 1e-9
-# A run allocates two float64 series of steps + 1 values (80 MB each here).
+# A run holds a few float64 series of steps + 1 values (80 MB each here).
 MAX_STEPS = 10**7
 
 
@@ -127,7 +128,7 @@ SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
 
 @dataclass(frozen=True)
 class FidelitySeries:
-    """Per-step fidelities for ``t = 0 .. steps``; ``noisy`` is None without noise."""
+    """Per-step fidelities for ``t = 0 .. steps``, clamped; ``noisy`` is None without noise."""
 
     noiseless: np.ndarray
     noisy: np.ndarray | None = None
@@ -137,11 +138,9 @@ class FidelitySeries:
             values = getattr(self, name)
             if values is None:
                 continue
-            values = np.array(values, dtype=float)
+            values = clamp_fidelity(values)
             if values.ndim != 1 or len(values) < 1:
                 raise ValueError(f"{name} series must be a nonempty vector")
-            if values.min() < 0.0 or values.max() > 1.0:
-                raise ValueError(f"{name} series has values outside [0, 1]")
             values.flags.writeable = False
             object.__setattr__(self, name, values)
         if self.noisy is not None and self.noisy.shape != self.noiseless.shape:
@@ -159,49 +158,58 @@ def scenario_graph(sc: Scenario) -> Graph:
     return standard_family(sc.graph, *sc.size)
 
 
-def _scenario_channel(sc: Scenario, dim: int) -> NoiseChannel | None:
-    if sc.noise == "rtn":
-        return rtn_channel(dim, a=sc.rtn_a, gamma=sc.rtn_gamma)
-    if sc.noise == "oun":
-        return oun_channel(dim, lam=sc.oun_lambda, gamma=sc.oun_gamma)
-    return None
-
-
-def run_scenario(sc: Scenario) -> FidelitySeries:
-    """Run one scenario and collect its fidelity series in one streaming pass.
-
-    Only the current state ``psi_t`` is kept, and each step is the
-    matrix-free :func:`~qwalk.operators.walk_step`: ``O(2m)`` time and no
-    ``dim x dim`` array. At every step the noiseless fidelity is
-    ``|<target|psi_t>|^2``; with noise, the noisy fidelity is the
-    closed form ``(1 + kappa(t))/2 |<target|psi_t>|^2 + (1 - kappa(t))/2
-    |<target|Z psi_t>|^2`` (:func:`~qwalk.channels.dephased_fidelity`). Every
-    ``_CROSS_CHECK_STRIDE`` steps it is checked against the dense route (the
-    Kraus channel applied to ``|psi_t><psi_t|`` and the general
-    density-matrix fidelity) on the target's support block; see
-    :func:`_cross_check`. A mismatch raises ``RuntimeError``.
-    """
+def _walk(sc: Scenario) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[np.ndarray]]:
+    """The overlap pass of :func:`run_scenario`: ``(kept, flipped, target, blocks)``."""
     spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
     step = walk_step(spec)
     psi = sender_state(spec)
     target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
-    channel = _scenario_channel(sc, spec.space.dim)
-
-    noiseless = np.empty(sc.steps + 1)
-    noisy = None if channel is None else np.empty(sc.steps + 1)
+    support = np.flatnonzero(target)
+    kept = np.empty(sc.steps + 1)
+    flipped = None if sc.noise == "none" else np.empty(sc.steps + 1)
+    blocks = []
     for t in range(sc.steps + 1):
         if t > 0:
             psi = step(psi)
-        noiseless[t] = fidelity_pure(psi, target)
-        if channel is None:
-            continue
-        noisy[t] = dephased_fidelity(channel, t, psi, target)
-        if t % _CROSS_CHECK_STRIDE == 0:
-            _cross_check(channel, t, psi, target, noisy[t])
-    return FidelitySeries(noiseless=noiseless, noisy=noisy)
+        kept[t] = abs(np.vdot(target, psi)) ** 2
+        if flipped is not None:
+            flipped[t] = flipped_overlap(psi, target)
+            if t % _CROSS_CHECK_STRIDE == 0:
+                blocks.append(psi[support])
+    drift = abs(float(np.linalg.norm(psi)) - 1.0)
+    if not drift <= NORM_ATOL:  # NaN fails this comparison too
+        raise RuntimeError(f"state norm drifted by {drift:.3g} over {sc.steps} steps")
+    return kept, flipped, target, blocks
 
 
-def _cross_check(channel: NoiseChannel, t: int, psi: np.ndarray, target: np.ndarray,
+def _combine(sc: Scenario, kept, flipped, target, blocks) -> FidelitySeries:
+    """Read a scenario's series out of its walk's overlaps, cross-checking the noisy one."""
+    if sc.noise == "none":
+        return FidelitySeries(noiseless=kept)
+    channel = (rtn_channel(len(target), a=sc.rtn_a, gamma=sc.rtn_gamma) if sc.noise == "rtn"
+               else oun_channel(len(target), lam=sc.oun_lambda, gamma=sc.oun_gamma))
+    noisy = dephased_series(channel, kept, flipped)
+    for t, a in zip(range(0, sc.steps + 1, _CROSS_CHECK_STRIDE), blocks):
+        _cross_check(channel, t, a, target, noisy[t])
+    return FidelitySeries(noiseless=kept, noisy=noisy)
+
+
+def run_scenario(sc: Scenario) -> FidelitySeries:
+    """Run one scenario: one overlap pass over the walk, then a combine step.
+
+    The pass (:func:`_walk`) iterates the ``O(2m)`` matrix-free step, recording
+    ``kept[t] = |<target|psi_t>|^2`` and, with noise, ``flipped[t] = |<target|Z
+    psi_t>|^2`` and ``psi_t`` on ``supp(target)`` every ``_CROSS_CHECK_STRIDE``
+    steps. The combine step (:func:`_combine`) clamps ``kept`` into the noiseless
+    series and mixes both with ``kappa(t)`` into the noisy one
+    (:func:`~qwalk.channels.dephased_series`), checked on those blocks against
+    the dense Kraus route (:func:`_cross_check`). A norm drift ``|‖psi_T‖ - 1|``
+    beyond ``NORM_ATOL`` or a failed check raises ``RuntimeError``.
+    """
+    return _combine(sc, *_walk(sc))
+
+
+def _cross_check(channel: NoiseChannel, t: int, a: np.ndarray, target: np.ndarray,
                  closed_form: float) -> None:
     """Check the closed form against the dense Kraus route on ``S = supp(target)``.
 
@@ -210,7 +218,7 @@ def _cross_check(channel: NoiseChannel, t: int, psi: np.ndarray, target: np.ndar
     ``p = |a|^2``: ``|S| x |S|`` matrices, ``|S|`` the receiver's (in-)degree.
     """
     support = np.flatnonzero(target)
-    a, phi = psi[support], target[support]
+    phi = target[support]
     p = float(np.vdot(a, a).real)
     ks = kraus_set(channel, t)
     dense = 0.0
@@ -257,8 +265,13 @@ def case_study_scenarios() -> list[tuple[str, Scenario]]:
 
 
 def paper_suite() -> list[tuple[str, FidelitySeries]]:
-    """Run the full bundled case-study suite and return the named series."""
-    return [(name, run_scenario(sc)) for name, sc in case_study_scenarios()]
+    """``run_scenario`` on each of :func:`case_study_scenarios`, walking each family once."""
+    suite = []
+    for name, family in _CASE_FAMILIES:
+        walk = _walk(replace(family, noise="rtn"))
+        for noise in ("rtn", "oun"):
+            suite.append((f"{name}_{noise}", _combine(replace(family, noise=noise), *walk)))
+    return suite
 
 
 def peak_steps(values, ratio: float = 0.9) -> list[int]:
@@ -309,8 +322,15 @@ def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
         raise ValueError(f"unknown scenario key(s): {sorted(unknown)}")
     if "graph" not in mapping:
         raise ValueError("scenario needs a 'graph' entry")
-
-    return Scenario(**{key: _PARSERS.get(key, str)(value) for key, value in mapping.items()})
+    values = {}
+    for key, text in mapping.items():
+        parse = _PARSERS.get(key, str)
+        try:
+            values[key] = parse(text)
+        except ValueError:
+            expected = {int: "an integer", float: "a number"}.get(parse, "integers")
+            raise ValueError(f"{key}: expected {expected}, got {text!r}") from None
+    return Scenario(**values)
 
 
 def default_name(sc: Scenario) -> str:

@@ -9,7 +9,9 @@ noisy fidelity never does; ``noisy_state`` applies the channel as a sum of
 dense Weyl-matrix Kraus products (``weyl_operator``, ``dense_kraus_set``,
 ``dense_apply_channel``), where the library stores only the diagonals.
 ``reference_graph`` and ``reference_edge_space`` are the tuple/set/dict
-graph layer the array-native one replaced.
+graph layer the array-native one replaced. ``dephased_fidelity`` and
+``stepwise_series`` are the per-state closed form and the per-step readout
+loop that the runner's single overlap pass and combine step replaced.
 """
 
 from __future__ import annotations
@@ -19,9 +21,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from qwalk.channels import KrausSet, NoiseChannel
+from qwalk.channels import (
+    KrausSet,
+    NoiseChannel,
+    _checked_kernel,
+    _z_diagonal,
+    oun_channel,
+    rtn_channel,
+)
+from qwalk.fidelity import clamp_fidelity, fidelity_pure
 from qwalk.linalg import UNITARY_ATOL, check_density
-from qwalk.operators import WalkOperators
+from qwalk.operators import (
+    WalkOperators,
+    receiver_state,
+    sender_state,
+    walk_spec,
+    walk_step,
+)
+from qwalk.scenarios import scenario_graph
 
 
 def naive_matmul(a, b) -> np.ndarray:
@@ -114,6 +131,54 @@ def noisy_state(ops: WalkOperators, psi0, channel: NoiseChannel, t: int) -> np.n
     psi_t = power_evolved(ops.unitary, psi0, t)
     rho_t = np.outer(psi_t, psi_t.conj())
     return dense_apply_channel(rho_t, dense_kraus_set(channel, t))
+
+
+def dephased_fidelity(channel: NoiseChannel, t: float, psi, phi) -> float:
+    """``<phi| E_t(|psi><psi|) |phi>`` for the channel ``E_t`` at time ``t``, in ``O(dim)``.
+
+    Both Kraus operators are diagonal, so the fidelity is the kernel-weighted
+    mix ``(1 + kappa)/2 |<phi|psi>|^2 + (1 - kappa)/2 |<phi|Z psi>|^2``, here
+    evaluated for one state at a time.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    phi = np.asarray(phi, dtype=complex)
+    d = channel.dim
+    if psi.shape != (d,) or phi.shape != (d,):
+        raise ValueError(
+            f"states have shapes {psi.shape} and {phi.shape}, expected ({d},) for the channel"
+        )
+    kappa = _checked_kernel(channel, t)
+    kept = abs(np.vdot(phi, psi)) ** 2
+    flipped = abs(np.vdot(phi, _z_diagonal(d) * psi)) ** 2
+    return float(clamp_fidelity((1.0 + kappa) / 2.0 * kept + (1.0 - kappa) / 2.0 * flipped))
+
+
+def stepwise_series(sc) -> tuple[np.ndarray, np.ndarray | None]:
+    """A scenario's ``(noiseless, noisy)`` series read out state by state.
+
+    At every step ``fidelity_pure`` (with its norm checks) and, with noise,
+    :func:`dephased_fidelity` evaluate ``psi_t`` on their own; ``noisy`` is
+    None without noise.
+    """
+    spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
+    step = walk_step(spec)
+    psi = sender_state(spec)
+    target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
+    channel = None
+    if sc.noise == "rtn":
+        channel = rtn_channel(spec.space.dim, a=sc.rtn_a, gamma=sc.rtn_gamma)
+    elif sc.noise == "oun":
+        channel = oun_channel(spec.space.dim, lam=sc.oun_lambda, gamma=sc.oun_gamma)
+
+    noiseless = np.empty(sc.steps + 1)
+    noisy = None if channel is None else np.empty(sc.steps + 1)
+    for t in range(sc.steps + 1):
+        if t > 0:
+            psi = step(psi)
+        noiseless[t] = fidelity_pure(psi, target)
+        if channel is not None:
+            noisy[t] = dephased_fidelity(channel, t, psi, target)
+    return noiseless, noisy
 
 
 def uhlmann_fidelity_scipy(rho, sigma) -> float:

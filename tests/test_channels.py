@@ -10,7 +10,8 @@ from qwalk.channels import (
     NoiseChannel,
     _z_diagonal,
     apply_channel,
-    dephased_fidelity,
+    dephased_series,
+    flipped_overlap,
     kraus_set,
     oun_channel,
     oun_kernel,
@@ -18,7 +19,16 @@ from qwalk.channels import (
     rtn_kernel,
 )
 
-from .oracles import dense_apply_channel, dense_kraus_set, random_density, weyl_operator
+from qwalk.fidelity import fidelity_pure_target
+
+from .oracles import (
+    dense_apply_channel,
+    dense_kraus_set,
+    dephased_fidelity,
+    random_density,
+    random_pure,
+    weyl_operator,
+)
 
 # Frozen kernel values for the default parameters (a=0.1, gamma=0.01 and
 # lam=1, gamma=0.05), computed from the closed forms at 40-digit precision.
@@ -134,9 +144,12 @@ def test_oun_kernel_rejects_bad_arguments():
         oun_kernel(1.0, gamma=0.0)
 
 
-def test_rtn_channel_warns_outside_memory_regime():
-    with pytest.warns(UserWarning, match="memory regime"):
-        rtn_channel(4, a=0.1, gamma=0.5)
+def test_rtn_channel_rejects_non_oscillatory_regime():
+    # the kernel's own error, at construction: every later evaluation would raise it
+    for a, gamma in ((0.1, 0.5), (0.1, 0.2), (1.0, 3.0)):
+        with pytest.raises(ValueError, match="unsupported regime"):
+            rtn_channel(4, a=a, gamma=gamma)
+    assert rtn_channel(4, a=0.1, gamma=0.19).kernel(3.0) == rtn_kernel(3.0, 0.1, 0.19)
 
 
 def test_channel_constructors_validate():
@@ -240,14 +253,37 @@ def test_kraus_rejects_kernel_outside_unit_interval():
         with pytest.raises(ValueError, match="invalid kernel"):
             kraus_set(stub_channel(4, value), 3.0)
         with pytest.raises(ValueError, match="invalid kernel"):
-            dephased_fidelity(stub_channel(4, value), 3.0, np.eye(4)[0], np.eye(4)[0])
+            dephased_series(stub_channel(4, value), np.ones(2), np.zeros(2))
 
 
 def test_dephased_fidelity_on_plus_state():
     # |+> keeps weight (1 + kappa)/2 on itself; Z|+> = |-> is orthogonal to it
     plus = np.ones(2, dtype=complex) / np.sqrt(2.0)
+    flipped = flipped_overlap(plus, plus)
+    assert flipped < 1e-30
     for kappa in (1.0, 0.3, 0.0, -0.6):
+        noisy = dephased_series(stub_channel(2, kappa), np.ones(3), np.full(3, flipped))
+        assert np.abs(noisy - (1 + kappa) / 2).max() < 1e-15
         assert abs(dephased_fidelity(stub_channel(2, kappa), 1.0, plus, plus) - (1 + kappa) / 2) < 1e-15
+
+
+@pytest.mark.parametrize("make", [rtn_channel, oun_channel])
+def test_dephased_series_equals_the_per_state_closed_form(make):
+    # the series form, mixing whole overlap arrays, is the per-state oracle
+    # bit for bit, and both match the Kraus route on the density matrix
+    rng = np.random.default_rng(37)
+    for dim in (2, 7, 16):
+        channel = make(dim)
+        phi = random_pure(rng, dim)
+        states = [random_pure(rng, dim) for _ in range(60)]
+        kept = np.array([abs(np.vdot(phi, psi)) ** 2 for psi in states])
+        flipped = np.array([flipped_overlap(psi, phi) for psi in states])
+        series = dephased_series(channel, kept, flipped)
+        per_state = [dephased_fidelity(channel, t, psi, phi) for t, psi in enumerate(states)]
+        assert np.array_equal(series, per_state)
+        for t in (0, 9, 33, 59):
+            rho = apply_channel(np.outer(states[t], states[t].conj()), kraus_set(channel, t))
+            assert abs(series[t] - fidelity_pure_target(rho, phi)) <= 1e-12
 
 
 def test_z_diagonal_is_cached_read_only_per_dimension():
@@ -259,10 +295,13 @@ def test_z_diagonal_is_cached_read_only_per_dimension():
 
 
 def test_dephased_fidelity_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="expected"):
-        dephased_fidelity(rtn_channel(4), 1.0, np.eye(3)[0], np.eye(4)[0])
-    with pytest.raises(ValueError, match="expected"):
-        dephased_fidelity(rtn_channel(4), 1.0, np.eye(4)[0], np.eye(3)[0])
+    for psi, phi in ((np.eye(3)[0], np.eye(4)[0]), (np.eye(4)[0], np.eye(3)[0])):
+        with pytest.raises(ValueError):
+            flipped_overlap(psi, phi)
+        with pytest.raises(ValueError, match="expected"):
+            dephased_fidelity(rtn_channel(4), 1.0, psi, phi)
+    with pytest.raises(ValueError):
+        dephased_series(rtn_channel(4), np.ones(3), np.ones(4))
 
 
 def test_apply_channel_identity_at_time_zero():

@@ -259,6 +259,48 @@ def test_run_reports_internal_error_with_exit_three(tmp_path, capsys, monkeypatc
     assert "Traceback" not in err
 
 
+def test_run_reports_norm_drift_as_an_internal_error(tmp_path, capsys, monkeypatch):
+    import qwalk.scenarios
+
+    real_walk_step = qwalk.scenarios.walk_step
+
+    def leaky_walk_step(spec):
+        step = real_walk_step(spec)
+        return lambda psi: step(psi) * (1.0 + 1e-11)
+
+    monkeypatch.setattr(qwalk.scenarios, "walk_step", leaky_walk_step)
+    # (1 + 1e-11)**100 - 1 = 1e-9: a defect of the step, not of the input
+    code = main(
+        [
+            "run", "--graph", "path", "--size", "5", "--sender", "0", "--receiver", "4",
+            "--noise", "rtn", "--steps", "100", "--out", str(tmp_path),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: state norm drifted by 1e-09 over 100 steps")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "config, flags, message",
+    [
+        ("sender = zero\n", [], "error: sender: expected an integer, got 'zero'\n"),
+        ("steps = 1e3\n", [], "error: steps: expected an integer, got '1e3'\n"),
+        ("noise = oun\noun_gamma = fast\n", [], "error: oun_gamma: expected a number, got 'fast'\n"),
+        ("", ["--size", "5,x"], "error: size: expected integers, got '5,x'\n"),
+    ],
+)
+def test_run_names_the_key_whose_value_fails_to_convert(tmp_path, capsys, config, flags,
+                                                        message):
+    path = tmp_path / "scenario.cfg"
+    path.write_text("graph = path\nsize = 5\nreceiver = 4\n" + config)
+    code = main(["run", "--config", str(path), *flags, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == message
+
+
 def test_run_reports_broken_edge_space_with_exit_three(tmp_path, capsys, monkeypatch):
     import qwalk.scenarios
 

@@ -117,9 +117,16 @@ def test_outputs_stay_in_unit_interval():
 
 
 def test_clamp_window_boundaries():
-    assert fid._clamp(1.0 + 5e-11) == 1.0
-    assert fid._clamp(-5e-11) == 0.0
+    assert fid.clamp_fidelity(1.0 + 5e-11) == 1.0
+    assert fid.clamp_fidelity(-5e-11) == 0.0
     with pytest.raises(ValueError, match="outside"):
-        fid._clamp(1.0 + 1e-9)
+        fid.clamp_fidelity(1.0 + 1e-9)
     with pytest.raises(ValueError, match="outside"):
-        fid._clamp(-1e-9)
+        fid.clamp_fidelity(-1e-9)
+    # a whole series at once: clamped element-wise, the first offender named
+    series = np.array([-5e-11, 0.25, 1.0 + 5e-11])
+    assert fid.clamp_fidelity(series).tolist() == [0.0, 0.25, 1.0]
+    with pytest.raises(ValueError, match="fidelity 1.001 outside"):
+        fid.clamp_fidelity(np.array([0.5, 1.001, -0.2]))
+    with pytest.raises(ValueError, match="fidelity nan outside"):  # NaN is no fidelity
+        fid.clamp_fidelity(np.array([0.5, np.nan]))

@@ -2,7 +2,8 @@
 
 The array graph layer is checked against the reference, the matrix-free
 step against the dense unitary, and the scenario parsers and runner against
-their contracts (only ``ValueError`` on bad input, fidelities in [0, 1]).
+their contracts (only ``ValueError`` on bad input, fidelities in [0, 1], a
+state norm within 1e-10 of 1 after 10^4 steps).
 
 Every property runs derandomized (the examples are a function of the test
 alone) and without the example database, so a run is reproducible.
@@ -19,8 +20,10 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from qwalk.evolution import evolve_pure
+from qwalk.fidelity import NORM_ATOL
 from qwalk.graphs import build_graph, edge_space, parse_graph_file
-from qwalk.operators import receiver_state, walk_spec, walk_step, walk_unitary
+from qwalk.operators import receiver_state, sender_state, walk_spec, walk_step, walk_unitary
 from qwalk.scenarios import (
     Scenario,
     parse_scenario_config,
@@ -263,6 +266,25 @@ def test_accepted_runs_have_fidelities_in_unit_interval(graph_input, data):
         if column is not None:
             assert len(column) == sc.steps + 1
             assert all(math.isfinite(f) and 0.0 <= f <= 1.0 for f in column)
+
+
+@_settings(max_examples=20)
+@given(graph_inputs(max_n=12), st.data())
+def test_norm_drift_stays_bounded_over_ten_thousand_steps(graph_input, data):
+    # the runner checks |‖psi_T‖ - 1| <= 1e-10 once per run; 10^4 steps on
+    # any random graph stay inside that bound
+    n, edges = graph_input
+    sender = data.draw(st.integers(0, n - 1), label="sender")
+    receiver = data.draw(st.integers(0, n - 1), label="receiver")
+    spec = walk_spec(build_graph(n, edges), sender, receiver)
+    psi = evolve_pure(walk_step(spec), sender_state(spec), 10**4)
+    assert NORM_ATOL == 1e-10
+    assert abs(float(np.linalg.norm(psi)) - 1.0) <= NORM_ATOL
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "g.txt"
+        graph.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        sc = Scenario(graph=f"file:{graph}", sender=sender, receiver=receiver, steps=10**4)
+        assert run_scenario(sc).steps == 10**4  # the drift guard does not fire
 
 
 @_settings(max_examples=300)

@@ -16,6 +16,7 @@ from qwalk.scenarios import (
     Scenario,
     case_study_scenarios,
     default_name,
+    paper_suite,
     parse_scenario_config,
     peak_steps,
     run_scenario,
@@ -23,7 +24,7 @@ from qwalk.scenarios import (
     scenario_graph,
 )
 
-from .oracles import dense_apply_channel, dense_kraus_set, random_simple_graph
+from .oracles import dense_apply_channel, dense_kraus_set, random_simple_graph, stepwise_series
 
 
 def test_scenario_validation():
@@ -231,6 +232,49 @@ def test_noisy_series_matches_dense_channel_at_every_step(tmp_path):
             dense = fidelity_density(dense_apply_channel(rho, dense_kraus_set(channel, t)), sigma)
             assert abs(series.noisy[t] - dense) <= 1e-12, (name, t)
             rho = ops.unitary @ rho @ ops.unitary.conj().T
+
+
+def test_one_pass_series_equal_the_stepwise_readout_bitwise(tmp_path):
+    # the overlap pass plus the combine step against the per-step fidelity_pure
+    # and per-state closed form they replaced: the same bits, so the same CSVs
+    rng = np.random.default_rng(13)
+    cases = list(case_study_scenarios())
+    for index, n in enumerate((4, 6, 8, 11)):
+        graph = _write_graph_file(tmp_path / f"g{index}.txt", n, random_simple_graph(rng, n))
+        for noise in ("none", "rtn", "oun"):
+            for receiver_mode in ("incoming", "outgoing"):
+                cases.append((f"g{index}_{noise}_{receiver_mode}",
+                              Scenario(graph=graph, sender=0, receiver=n - 1, noise=noise,
+                                       receiver_mode=receiver_mode, steps=60)))
+    assert len(cases) == 22 + 24
+    for name, sc in cases:
+        series = run_scenario(sc)
+        noiseless, noisy = stepwise_series(sc)
+        assert np.array_equal(series.noiseless, noiseless), name
+        if sc.noise == "none":
+            assert series.noisy is None and noisy is None
+        else:
+            assert np.array_equal(series.noisy, noisy), name
+
+
+def test_paper_suite_walks_each_family_once(monkeypatch):
+    import qwalk.scenarios
+
+    real, built = qwalk.scenarios.walk_step, []
+
+    def spy(spec):
+        built.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(qwalk.scenarios, "walk_step", spy)
+    suite = paper_suite()
+    assert len(built) == 11  # one walk per family, read out under rtn and oun
+    expected = [(name, run_scenario(sc)) for name, sc in case_study_scenarios()]
+    assert len(built) == 11 + 22
+    assert [name for name, _ in suite] == [name for name, _ in expected]
+    for (name, series), (_, single) in zip(suite, expected):
+        assert np.array_equal(series.noiseless, single.noiseless), name
+        assert np.array_equal(series.noisy, single.noisy), name
 
 
 def test_run_memory_does_not_grow_with_steps(tmp_path):
