@@ -66,22 +66,9 @@ def _check_parameters(**params: float) -> None:
         raise ValueError(f"parameters must be finite and positive, got {shown}")
 
 
-def rtn_kernel(t: float, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> float:
-    """Damped-oscillatory random-telegraph memory kernel.
-
-    ``exp(-gamma t) [cos(nu gamma t) + sin(nu gamma t) / nu]`` with
-    ``nu = sqrt((2 a / gamma)^2 - 1)``. Defined only in the oscillatory
-    regime ``a / gamma > 0.5`` where ``nu`` is real; equals 1 at ``t = 0``.
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    _check_parameters(a=a, gamma=gamma)
+def _rtn_value(t: float, a: float, gamma: float) -> float:
+    """The random-telegraph formula for parameters already checked."""
     ratio = 2.0 * a / gamma
-    if ratio <= 1.0:
-        raise ValueError(
-            f"unsupported regime: a/gamma = {a / gamma:.6g} <= 0.5 makes the "
-            "oscillation frequency imaginary"
-        )
     nu = math.sqrt(ratio**2 - 1.0) if ratio < 1e150 else math.inf  # ratio**2 would overflow
     phase = nu * gamma * t
     if not math.isfinite(phase):
@@ -91,17 +78,43 @@ def rtn_kernel(t: float, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GA
     return math.exp(-gamma * t) * (math.cos(phase) + math.sin(phase) / nu)
 
 
+def _oun_value(t: float, lam: float, gamma: float) -> float:
+    """The Ornstein-Uhlenbeck formula for parameters already checked."""
+    # The exponent is <= 0; at gamma t < 1e-8 round-off can make it positive (kernel > 1).
+    return math.exp(min(0.0, -(lam / 2.0) * (t + (math.exp(-gamma * t) - 1.0) / gamma)))
+
+
+def _check_time(t: float) -> None:
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+
+
+def rtn_kernel(t: float, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> float:
+    """Damped-oscillatory random-telegraph memory kernel.
+
+    ``exp(-gamma t) [cos(nu gamma t) + sin(nu gamma t) / nu]`` with
+    ``nu = sqrt((2 a / gamma)^2 - 1)``. Defined only in the oscillatory
+    regime ``a / gamma > 0.5`` where ``nu`` is real; equals 1 at ``t = 0``.
+    """
+    _check_time(t)
+    _check_parameters(a=a, gamma=gamma)
+    if 2.0 * a / gamma <= 1.0:
+        raise ValueError(
+            f"unsupported regime: a/gamma = {a / gamma:.6g} <= 0.5 makes the "
+            "oscillation frequency imaginary"
+        )
+    return _rtn_value(t, a, gamma)
+
+
 def oun_kernel(t: float, lam: float = OUN_DEFAULT_LAMBDA, gamma: float = OUN_DEFAULT_GAMMA) -> float:
     """Monotone Ornstein-Uhlenbeck memory kernel.
 
     ``exp(-(lam / 2) (t + (exp(-gamma t) - 1) / gamma))``: equals 1 at
     ``t = 0`` and decreases strictly for ``t > 0``.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     _check_parameters(lam=lam, gamma=gamma)
-    # The exponent is <= 0; at gamma t < 1e-8 round-off can make it positive (kernel > 1).
-    return math.exp(min(0.0, -(lam / 2.0) * (t + (math.exp(-gamma * t) - 1.0) / gamma)))
+    return _oun_value(t, lam, gamma)
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,9 @@ class NoiseChannel:
     """Time-parameterized generator of Kraus sets in a fixed dimension.
 
     Use :func:`rtn_channel` or :func:`oun_channel` to construct one; the
-    parameter fields not belonging to ``kind`` stay ``None``.
+    parameter fields not belonging to ``kind`` stay ``None``. The dimension,
+    the parameters and (for ``rtn``) the oscillatory regime are checked once,
+    on construction, so :meth:`kernel` checks only its time argument.
     """
 
     kind: str  # "rtn" | "oun"
@@ -118,25 +133,30 @@ class NoiseChannel:
     lam: float | None = None
     gamma: float = 0.0
 
-    def kernel(self, t: float) -> float:
+    def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.kind == "rtn":
-            return rtn_kernel(t, self.a, self.gamma)
-        return oun_kernel(t, self.lam, self.gamma)
+            rtn_kernel(0.0, self.a, self.gamma)  # rejects what every later evaluation would
+        elif self.kind == "oun":
+            _check_parameters(lam=self.lam, gamma=self.gamma)
+        else:
+            raise ValueError(f"noise kind must be 'rtn' or 'oun', got {self.kind!r}")
+
+    def kernel(self, t: float) -> float:
+        _check_time(t)
+        if self.kind == "rtn":
+            return _rtn_value(t, self.a, self.gamma)
+        return _oun_value(t, self.lam, self.gamma)
 
 
 def rtn_channel(dim: int, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> NoiseChannel:
     """Random-telegraph channel; raises outside the oscillatory regime ``a/gamma > 0.5``."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    rtn_kernel(0.0, a, gamma)  # rejects what every later kernel evaluation would
     return NoiseChannel(kind="rtn", dim=dim, a=a, gamma=gamma)
 
 
 def oun_channel(dim: int, lam: float = OUN_DEFAULT_LAMBDA, gamma: float = OUN_DEFAULT_GAMMA) -> NoiseChannel:
     """Ornstein-Uhlenbeck channel with relaxation ``lam`` and bandwidth ``gamma``."""
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    _check_parameters(lam=lam, gamma=gamma)
     return NoiseChannel(kind="oun", dim=dim, lam=lam, gamma=gamma)
 
 
@@ -151,11 +171,15 @@ class KrausSet:
     time: float
 
 
+def _kernel_outside(kappa: float, t: float) -> ValueError:
+    return ValueError(f"invalid kernel value {kappa:.6g} at t={t}: outside [-1, 1]")
+
+
 def _checked_kernel(channel: NoiseChannel, t: float) -> float:
     """Kernel value at ``t``, rejected outside ``[-1, 1]`` beyond round-off and clamped into it."""
     kappa = channel.kernel(t)
     if not abs(kappa) <= 1.0 + _KERNEL_SLACK:  # NaN fails this comparison too
-        raise ValueError(f"invalid kernel value {kappa:.6g} at t={t}: outside [-1, 1]")
+        raise _kernel_outside(kappa, t)
     return min(1.0, max(-1.0, kappa))
 
 
@@ -200,11 +224,29 @@ def flipped_overlap(psi: np.ndarray, phi: np.ndarray) -> float:
     return abs(np.vdot(phi, _z_diagonal(len(psi)) * psi)) ** 2
 
 
+def _kernel_series(channel: NoiseChannel, n: int) -> np.ndarray:
+    """``_checked_kernel(channel, t)`` at ``t = 0 .. n - 1``, bit for bit, checked as one array.
+
+    ``channel.kernel`` evaluates the scalar ``math`` formula at each ``t``; the
+    parameters were validated once, when the channel was built. The range check
+    and the clamp then run over the whole array, and a bad value is reported at
+    its first ``t`` in the words of :func:`_checked_kernel`.
+    """
+    kappa = np.fromiter((channel.kernel(t) for t in range(n)), dtype=float, count=n)
+    outside = ~(np.abs(kappa) <= 1.0 + _KERNEL_SLACK)  # NaN fails this comparison too
+    if outside.any():
+        t = int(np.argmax(outside))
+        raise _kernel_outside(float(kappa[t]), t)
+    return np.clip(kappa, -1.0, 1.0)
+
+
 def dephased_series(channel: NoiseChannel, kept: np.ndarray, flipped: np.ndarray) -> np.ndarray:
     """The closed form ``<phi|E_t(|psi_t><psi_t|)|phi>`` at ``t = 0 .. len(kept) - 1``.
 
     ``kept[t] = |<phi|psi_t>|^2`` and ``flipped[t] = |<phi|Z psi_t>|^2``. It equals the
     :func:`kraus_set` + :func:`apply_channel` route without any ``dim x dim`` matrix.
+    The channel is validated once per series, not once per ``t``: its parameters
+    when it was built, the range of ``kappa`` over the whole array.
     """
-    kappa = np.array([_checked_kernel(channel, t) for t in range(len(kept))])
+    kappa = _kernel_series(channel, len(kept))
     return clamp_fidelity((1.0 + kappa) / 2.0 * kept + (1.0 - kappa) / 2.0 * flipped)

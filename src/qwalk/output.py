@@ -1,13 +1,16 @@
 """Deterministic CSV and SVG writers for fidelity series and operators.
 
 All text output uses ``\\n`` line endings and fixed numeric formatting so
-that identical inputs produce byte-identical files on every platform.
+that identical inputs produce byte-identical files on every platform. The
+writers format Python floats taken from each series with ``tolist()``, and
+the SVG title is escaped with ``str.replace`` (``&``, ``<`` and ``>``, the
+mapping of ``xml.sax.saxutils.escape``): importing the XML package would pull
+in ``urllib``, ``http``, ``email``, ``socket`` and ``ssl`` for one call.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -18,10 +21,6 @@ __all__ = ["write_csv", "render_svg", "write_matrix_csv"]
 CSV_HEADER = "t,fidelity_noiseless,fidelity_noisy"
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def write_csv(series: FidelitySeries, path: str | Path) -> None:
     """Write one fidelity series as CSV.
 
@@ -29,10 +28,13 @@ def write_csv(series: FidelitySeries, path: str | Path) -> None:
     left empty when the series has no noisy data. Values carry 12
     significant digits.
     """
-    lines = [CSV_HEADER]
-    for t, value in enumerate(series.noiseless):
-        noisy = _fmt(series.noisy[t]) if series.noisy is not None else ""
-        lines.append(f"{t},{_fmt(value)},{noisy}")
+    noiseless = series.noiseless.tolist()
+    if series.noisy is None:
+        rows = [f"{t},{value:.12g}," for t, value in enumerate(noiseless)]
+    else:
+        rows = [f"{t},{value:.12g},{noisy:.12g}"
+                for t, (value, noisy) in enumerate(zip(noiseless, series.noisy.tolist()))]
+    lines = [CSV_HEADER, *rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -61,6 +63,11 @@ def _x_ticks(t_max: int) -> list[int]:
     return ticks
 
 
+def _escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_svg(series: FidelitySeries, path: str | Path, title: str) -> None:
     """Render the series as a standalone SVG line chart.
 
@@ -87,7 +94,7 @@ def render_svg(series: FidelitySeries, path: str | Path, title: str) -> None:
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="16">{_escape(title)}</text>',
     ]
 
     # Axes and gridlines.
@@ -129,16 +136,17 @@ def render_svg(series: FidelitySeries, path: str | Path, title: str) -> None:
     if series.noisy is not None:
         curves.append(("noisy", series.noisy))
 
+    # The same IEEE operations as px and py, element by element.
+    xs = (_LEFT + plot_w * np.arange(n_points) / t_max).tolist()
     for label, values in curves:
         color = _COLORS[label]
-        points = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in enumerate(values))
+        ys = (_TOP + plot_h * (1.0 - values)).tolist()
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         if n_points == 1:
-            parts.append(
-                f'<circle cx="{px(0):.2f}" cy="{py(values[0]):.2f}" r="3.5" fill="{color}"/>'
-            )
+            parts.append(f'<circle cx="{xs[0]:.2f}" cy="{ys[0]:.2f}" r="3.5" fill="{color}"/>')
 
     # Legend, top-right inside the plot area.
     legend_x = _LEFT + plot_w - 130

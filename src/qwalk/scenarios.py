@@ -58,7 +58,7 @@ NOISE_KINDS = ("none", "rtn", "oun")
 
 # The closed-form noisy fidelity is cross-checked against the dense Kraus
 # channel and the general density formula, on the target's support, every
-# this many steps.
+# this many steps (computed inside the walk, compared after it).
 _CROSS_CHECK_STRIDE = 25
 _CROSS_CHECK_ATOL = 1e-9
 # A run holds a few float64 series of steps + 1 values (80 MB each here).
@@ -158,16 +158,32 @@ def scenario_graph(sc: Scenario) -> Graph:
     return standard_family(sc.graph, *sc.size)
 
 
-def _walk(sc: Scenario) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list[np.ndarray]]:
-    """The overlap pass of :func:`run_scenario`: ``(kept, flipped, target, blocks)``."""
+def _channel(sc: Scenario, kind: str, dim: int) -> NoiseChannel:
+    """The scenario's ``kind`` channel (``rtn`` or ``oun``) in dimension ``dim``."""
+    if kind == "rtn":
+        return rtn_channel(dim, a=sc.rtn_a, gamma=sc.rtn_gamma)
+    return oun_channel(dim, lam=sc.oun_lambda, gamma=sc.oun_gamma)
+
+
+_Checks = dict[str, tuple[NoiseChannel, list[float]]]
+
+
+def _walk(sc: Scenario, kinds: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray | None, _Checks]:
+    """The overlap pass of :func:`run_scenario`: ``(kept, flipped, checks)``.
+
+    ``flipped`` is None when ``kinds`` is empty. For each noise kind in
+    ``kinds``, ``checks[kind] = (channel, dense)`` where ``dense[i]`` is the
+    dense-route fidelity (:func:`_dense_fidelity`) at ``t = i * _CROSS_CHECK_STRIDE``.
+    """
     spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
     step = walk_step(spec)
     psi = sender_state(spec)
     target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
     support = np.flatnonzero(target)
+    phi = target[support]
+    checks = {kind: (_channel(sc, kind, len(target)), []) for kind in kinds}
     kept = np.empty(sc.steps + 1)
-    flipped = None if sc.noise == "none" else np.empty(sc.steps + 1)
-    blocks = []
+    flipped = np.empty(sc.steps + 1) if kinds else None
     for t in range(sc.steps + 1):
         if t > 0:
             psi = step(psi)
@@ -175,22 +191,28 @@ def _walk(sc: Scenario) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, list
         if flipped is not None:
             flipped[t] = flipped_overlap(psi, target)
             if t % _CROSS_CHECK_STRIDE == 0:
-                blocks.append(psi[support])
+                block = psi[support]
+                for channel, dense in checks.values():
+                    dense.append(_dense_fidelity(channel, t, block, support, phi))
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if not drift <= NORM_ATOL:  # NaN fails this comparison too
         raise RuntimeError(f"state norm drifted by {drift:.3g} over {sc.steps} steps")
-    return kept, flipped, target, blocks
+    return kept, flipped, checks
 
 
-def _combine(sc: Scenario, kept, flipped, target, blocks) -> FidelitySeries:
+def _combine(sc: Scenario, kept: np.ndarray, flipped: np.ndarray | None,
+             checks: _Checks) -> FidelitySeries:
     """Read a scenario's series out of its walk's overlaps, cross-checking the noisy one."""
     if sc.noise == "none":
         return FidelitySeries(noiseless=kept)
-    channel = (rtn_channel(len(target), a=sc.rtn_a, gamma=sc.rtn_gamma) if sc.noise == "rtn"
-               else oun_channel(len(target), lam=sc.oun_lambda, gamma=sc.oun_gamma))
+    channel, dense = checks[sc.noise]
     noisy = dephased_series(channel, kept, flipped)
-    for t, a in zip(range(0, sc.steps + 1, _CROSS_CHECK_STRIDE), blocks):
-        _cross_check(channel, t, a, target, noisy[t])
+    for t, value in zip(range(0, sc.steps + 1, _CROSS_CHECK_STRIDE), dense):
+        if abs(value - noisy[t]) > _CROSS_CHECK_ATOL:
+            raise RuntimeError(
+                f"fidelity cross-check failed at t={t}: "
+                f"closed form {noisy[t]:.12g} vs dense {value:.12g}"
+            )
     return FidelitySeries(noiseless=kept, noisy=noisy)
 
 
@@ -199,38 +221,35 @@ def run_scenario(sc: Scenario) -> FidelitySeries:
 
     The pass (:func:`_walk`) iterates the ``O(2m)`` matrix-free step, recording
     ``kept[t] = |<target|psi_t>|^2`` and, with noise, ``flipped[t] = |<target|Z
-    psi_t>|^2`` and ``psi_t`` on ``supp(target)`` every ``_CROSS_CHECK_STRIDE``
-    steps. The combine step (:func:`_combine`) clamps ``kept`` into the noiseless
-    series and mixes both with ``kappa(t)`` into the noisy one
-    (:func:`~qwalk.channels.dephased_series`), checked on those blocks against
-    the dense Kraus route (:func:`_cross_check`). A norm drift ``|‖psi_T‖ - 1|``
-    beyond ``NORM_ATOL`` or a failed check raises ``RuntimeError``.
+    psi_t>|^2`` and, every ``_CROSS_CHECK_STRIDE`` steps, the noisy fidelity by
+    the dense Kraus route on ``supp(target)`` (:func:`_dense_fidelity`): one
+    float per check, so a run's memory grows with ``steps`` only through its
+    ``O(T)`` series. The combine step (:func:`_combine`) clamps ``kept`` into
+    the noiseless series, mixes both with ``kappa(t)`` into the noisy one
+    (:func:`~qwalk.channels.dephased_series`) and compares it with those
+    floats. A norm drift ``|‖psi_T‖ - 1|`` beyond ``NORM_ATOL`` or a
+    difference beyond ``_CROSS_CHECK_ATOL`` raises ``RuntimeError``.
     """
-    return _combine(sc, *_walk(sc))
+    return _combine(sc, *_walk(sc, () if sc.noise == "none" else (sc.noise,)))
 
 
-def _cross_check(channel: NoiseChannel, t: int, a: np.ndarray, target: np.ndarray,
-                 closed_form: float) -> None:
-    """Check the closed form against the dense Kraus route on ``S = supp(target)``.
+def _dense_fidelity(channel: NoiseChannel, t: int, a: np.ndarray, support: np.ndarray,
+                    phi: np.ndarray) -> float:
+    """The noisy fidelity by the dense Kraus route on ``S = supp(target)``.
 
     The Kraus operators are diagonal, so ``(K rho K†)_SS = K_SS rho_SS K_SS†`` and
     ``<phi|E(|psi><psi|)|phi> = p F(E_S(a a†/p), phi_S phi_S†)`` with ``a = psi_S``,
-    ``p = |a|^2``: ``|S| x |S|`` matrices, ``|S|`` the receiver's (in-)degree.
+    ``p = |a|^2`` and ``phi = phi_S``: ``|S| x |S|`` matrices, ``|S|`` the receiver's
+    (in-)degree. Without weight on ``S`` the fidelity is 0 and the density route
+    is skipped.
     """
-    support = np.flatnonzero(target)
-    phi = target[support]
     p = float(np.vdot(a, a).real)
     ks = kraus_set(channel, t)
-    dense = 0.0
-    if p > 0.0:
-        block = KrausSet(operators=tuple(k[support] for k in ks.operators), time=ks.time)
-        rho = apply_channel(np.outer(a, a.conj()) / p, block)
-        dense = p * fidelity_density(rho, np.outer(phi, phi.conj()))
-    if abs(dense - closed_form) > _CROSS_CHECK_ATOL:
-        raise RuntimeError(
-            f"fidelity cross-check failed at t={t}: "
-            f"closed form {closed_form:.12g} vs dense {dense:.12g}"
-        )
+    if not (p > 0.0 and np.isfinite(p)):  # no weight on S, or a state the norm check rejects
+        return 0.0
+    block = KrausSet(operators=tuple(k[support] for k in ks.operators), time=ks.time)
+    rho = apply_channel(np.outer(a, a.conj()) / p, block)
+    return p * fidelity_density(rho, np.outer(phi, phi.conj()))
 
 
 def _family(graph: str, size: tuple[int, ...], s: int, r: int | None, mode: str) -> Scenario:
@@ -268,7 +287,7 @@ def paper_suite() -> list[tuple[str, FidelitySeries]]:
     """``run_scenario`` on each of :func:`case_study_scenarios`, walking each family once."""
     suite = []
     for name, family in _CASE_FAMILIES:
-        walk = _walk(replace(family, noise="rtn"))
+        walk = _walk(family, ("rtn", "oun"))
         for noise in ("rtn", "oun"):
             suite.append((f"{name}_{noise}", _combine(replace(family, noise=noise), *walk)))
     return suite

@@ -12,12 +12,17 @@ dense Weyl-matrix Kraus products (``weyl_operator``, ``dense_kraus_set``,
 graph layer the array-native one replaced. ``dephased_fidelity`` and
 ``stepwise_series`` are the per-state closed form and the per-step readout
 loop that the runner's single overlap pass and combine step replaced.
+``reference_write_csv`` and ``reference_render_svg`` are the writers as they
+were before they formatted from ``tolist()`` and numpy coordinate arrays:
+one numpy scalar at a time, the title escaped by ``xml.sax.saxutils``.
 """
 
 from __future__ import annotations
 
 import math
+from pathlib import Path
 from typing import NamedTuple
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -38,7 +43,18 @@ from qwalk.operators import (
     walk_spec,
     walk_step,
 )
-from qwalk.scenarios import scenario_graph
+from qwalk.output import (
+    _BOTTOM,
+    _COLORS,
+    _HEIGHT,
+    _LEFT,
+    _RIGHT,
+    _TOP,
+    _WIDTH,
+    CSV_HEADER,
+    _x_ticks,
+)
+from qwalk.scenarios import FidelitySeries, scenario_graph
 
 
 def naive_matmul(a, b) -> np.ndarray:
@@ -319,3 +335,108 @@ def reference_edge_space(g: ReferenceGraph) -> ReferenceEdgeSpace:
         out_blocks=tuple(out_blocks),
         in_edges=tuple(tuple(ks) for ks in incoming),
     )
+
+
+def reference_write_csv(series: FidelitySeries, path) -> None:
+    """``qwalk.output.write_csv`` formatting one numpy scalar per value."""
+
+    def _fmt(value: float) -> str:
+        return f"{value:.12g}"
+
+    lines = [CSV_HEADER]
+    for t, value in enumerate(series.noiseless):
+        noisy = _fmt(series.noisy[t]) if series.noisy is not None else ""
+        lines.append(f"{t},{_fmt(value)},{noisy}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def reference_render_svg(series: FidelitySeries, path: str | Path, title: str) -> None:
+    """``qwalk.output.render_svg`` formatting one numpy scalar per coordinate."""
+    n_points = len(series.noiseless)
+    if n_points < 1:
+        raise ValueError("cannot render an empty series")
+    t_max = max(n_points - 1, 1)
+    plot_w = _WIDTH - _LEFT - _RIGHT
+    plot_h = _HEIGHT - _TOP - _BOTTOM
+
+    def px(t: float) -> float:
+        return _LEFT + plot_w * t / t_max
+
+    def py(f: float) -> float:
+        return _TOP + plot_h * (1.0 - f)
+
+    parts: list[str] = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="28" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+    ]
+
+    # Axes and gridlines.
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        y = py(frac)
+        parts.append(
+            f'<line x1="{_LEFT}" y1="{y:.1f}" x2="{_LEFT + plot_w}" y2="{y:.1f}" '
+            'stroke="#dddddd" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{_LEFT - 8}" y="{y + 4:.1f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="12">{frac:g}</text>'
+        )
+    for tick in _x_ticks(t_max):
+        x = px(tick)
+        parts.append(
+            f'<line x1="{x:.1f}" y1="{_TOP + plot_h}" x2="{x:.1f}" y2="{_TOP + plot_h + 5}" '
+            'stroke="black" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{x:.1f}" y="{_TOP + plot_h + 20}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="12">{tick}</text>'
+        )
+    parts.append(
+        f'<rect x="{_LEFT}" y="{_TOP}" width="{plot_w}" height="{plot_h}" '
+        'fill="none" stroke="black" stroke-width="1"/>'
+    )
+    parts.append(
+        f'<text x="{_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 16}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="13">time step</text>'
+    )
+    parts.append(
+        f'<text x="20" y="{_TOP + plot_h / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 20 {_TOP + plot_h / 2:.1f})">fidelity</text>'
+    )
+
+    curves = [("noiseless", series.noiseless)]
+    if series.noisy is not None:
+        curves.append(("noisy", series.noisy))
+
+    for label, values in curves:
+        color = _COLORS[label]
+        points = " ".join(f"{px(t):.2f},{py(v):.2f}" for t, v in enumerate(values))
+        parts.append(
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+        )
+        if n_points == 1:
+            parts.append(
+                f'<circle cx="{px(0):.2f}" cy="{py(values[0]):.2f}" r="3.5" fill="{color}"/>'
+            )
+
+    # Legend, top-right inside the plot area.
+    legend_x = _LEFT + plot_w - 130
+    for i, (label, _) in enumerate(curves):
+        y = _TOP + 16 + 18 * i
+        color = _COLORS[label]
+        parts.append(
+            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 26}" y2="{y}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{legend_x + 32}" y="{y + 4}" font-family="sans-serif" '
+            f'font-size="12">{label}</text>'
+        )
+
+    parts.append("</svg>")
+    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8", newline="\n")

@@ -8,6 +8,8 @@ import pytest
 
 from qwalk.channels import (
     NoiseChannel,
+    _checked_kernel,
+    _kernel_series,
     _z_diagonal,
     apply_channel,
     dephased_series,
@@ -254,6 +256,76 @@ def test_kraus_rejects_kernel_outside_unit_interval():
             kraus_set(stub_channel(4, value), 3.0)
         with pytest.raises(ValueError, match="invalid kernel"):
             dephased_series(stub_channel(4, value), np.ones(2), np.zeros(2))
+
+
+@dataclass(frozen=True)
+class _StepChannel(NoiseChannel):
+    """Channel whose kernel jumps from ``before`` to ``after`` at ``t = at``."""
+
+    at: int = 0
+    before: float = 0.5
+    after: float = 1.5
+
+    def kernel(self, t: float) -> float:
+        return self.before if t < self.at else self.after
+
+
+def test_dephased_series_reports_the_first_bad_time_in_the_per_t_wording():
+    for at, after, shown in ((3, 1.5, "1.5"), (0, -2.0, "-2"), (7, math.nan, "nan"),
+                             (4, math.inf, "inf"), (5, 1.0 + 1e-11, "1")):
+        channel = _StepChannel(kind="oun", dim=3, lam=1.0, gamma=1.0, at=at, after=after)
+        message = f"invalid kernel value {shown} at t={at}: outside [-1, 1]"
+        with pytest.raises(ValueError) as per_t:
+            _checked_kernel(channel, at)
+        assert str(per_t.value) == message
+        with pytest.raises(ValueError) as series:
+            dephased_series(channel, np.ones(at + 5), np.zeros(at + 5))
+        assert str(series.value) == message
+    # within round-off of [-1, 1] the stub's values pass, clamped as per t
+    channel = _StepChannel(kind="rtn", dim=3, a=1.0, gamma=1.0, at=2, after=1.0 + 1e-13)
+    assert np.array_equal(_kernel_series(channel, 4), [0.5, 0.5, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("make, grid", [
+    (rtn_channel, [(0.1, 0.01), (0.1, 0.19), (1.0, 1.999), (3.0, 0.05), (1e-3, 1e-5),
+                   (1e6, 1e-3), (2.5, 4.0)]),
+    (oun_channel, [(1.0, 0.05), (0.2, 3.0), (1.0, 1e-9), (1e308, 1e-9), (7.5, 1e-12),
+                   (1e-8, 40.0)]),
+])
+def test_kernel_series_equals_the_per_t_checked_kernel_bitwise(make, grid):
+    # the array form of dephased_series against the per-t route it replaced
+    for first, second in grid:
+        channel = make(5, first, second)
+        n = 401
+        series = _kernel_series(channel, n)
+        per_t = np.array([_checked_kernel(channel, t) for t in range(n)])
+        assert series.tobytes() == per_t.tobytes(), (first, second)
+        kept, flipped = np.linspace(0.0, 1.0, n), np.linspace(1.0, 0.0, n)
+        old = [(1.0 + k) / 2.0 * a + (1.0 - k) / 2.0 * b for k, a, b in zip(per_t, kept, flipped)]
+        assert np.array_equal(dephased_series(channel, kept, flipped), np.clip(old, 0.0, 1.0))
+
+
+def test_channel_parameters_are_checked_once_on_construction_not_per_t(monkeypatch):
+    import qwalk.channels
+
+    calls = []
+    real = qwalk.channels._check_parameters
+    monkeypatch.setattr(qwalk.channels, "_check_parameters",
+                        lambda **params: calls.append(params) or real(**params))
+    for make in (rtn_channel, oun_channel):
+        calls.clear()
+        dephased_series(make(4), np.ones(500), np.zeros(500))
+        assert len(calls) == 1
+    calls.clear()
+    rtn_kernel(2.0)
+    oun_kernel(2.0)
+    assert len(calls) == 2  # the public kernels still check every call
+    with pytest.raises(ValueError, match="finite and positive"):
+        NoiseChannel(kind="rtn", dim=4, a=-1.0, gamma=1.0)
+    with pytest.raises(ValueError, match="noise kind"):
+        NoiseChannel(kind="gaussian", dim=4, gamma=1.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        oun_channel(4).kernel(-1.0)
 
 
 def test_dephased_fidelity_on_plus_state():

@@ -134,20 +134,29 @@ def test_cli_entry_point_runs_as_module(tmp_path):
 
 
 def test_run_and_paper_suite_need_neither_scipy_nor_hypothesis(tmp_path):
-    # scipy and hypothesis are test-only dependencies: the commands must not import them
+    # scipy and hypothesis are test-only dependencies: the commands must not import
+    # them. Nor may the package load the network or XML stack (xml.sax.saxutils
+    # alone brings in urllib.request, http.client, email, socket and ssl).
     script = (
         "import sys\n"
+        "import qwalk.cli\n"
+        "stack = ('ssl', 'socket', 'http.client', 'email', 'urllib.request', 'xml')\n"
+        "def loaded(names):\n"
+        "    return sorted(m for m in sys.modules for n in names if m == n or m.startswith(n + '.'))\n"
+        "print(loaded(stack))\n"
         "from qwalk.cli import main\n"
         "out = sys.argv[1]\n"
         "assert main(['run', '--graph', 'cycle', '--size', '6', '--sender', '0',\n"
         "             '--receiver', '3', '--noise', 'rtn', '--out', out]) == 0\n"
         "assert main(['paper-suite', '--out', out]) == 0\n"
-        "print(sorted({'scipy', 'hypothesis'} & {m.split('.')[0] for m in sys.modules}))\n"
+        "print(loaded(stack))\n"
+        "print(loaded(('scipy', 'hypothesis')))\n"
     )
     result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    lines = result.stdout.splitlines()
+    assert [lines[0], *lines[-2:]] == ["[]", "[]", "[]"]  # after import, after the commands
     assert len(list(tmp_path.glob("*.csv"))) == 23
 
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from qwalk.output import render_svg, write_csv, write_matrix_csv
-from qwalk.scenarios import FidelitySeries, Scenario, run_scenario
+from qwalk.scenarios import FidelitySeries, Scenario, paper_suite, run_scenario
+
+from .oracles import reference_render_svg, reference_write_csv
 
 
 def read_rows(path):
@@ -114,3 +116,53 @@ def test_matrix_csv_format(tmp_path):
 def test_matrix_csv_rejects_non_matrix(tmp_path):
     with pytest.raises(ValueError, match="matrix"):
         write_matrix_csv(np.ones(4), tmp_path / "x.csv")
+
+
+def _boundary_values(n: int) -> np.ndarray:
+    # fidelities whose plot y = _TOP + plot_h * (1 - v) falls on a .xx5, the tie
+    # that .2f must round; every other one is nudged an ulp to either side
+    values = 1.0 - (0.005 + 11.25 * np.arange(n)) / 370.0
+    values[1::4] = np.nextafter(values[1::4], 2.0)
+    values[3::4] = np.nextafter(values[3::4], -1.0)
+    return np.clip(values, 0.0, 1.0)
+
+
+def _same_bytes(tmp_path, series, title):
+    new_csv, old_csv = tmp_path / "new.csv", tmp_path / "old.csv"
+    new_svg, old_svg = tmp_path / "new.svg", tmp_path / "old.svg"
+    write_csv(series, new_csv)
+    reference_write_csv(series, old_csv)
+    render_svg(series, new_svg, title=title)
+    reference_render_svg(series, old_svg, title=title)
+    assert new_csv.read_bytes() == old_csv.read_bytes(), title
+    assert new_svg.read_bytes() == old_svg.read_bytes(), title
+
+
+def test_writers_match_the_per_element_writers_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(83)
+    cases = [
+        ("single point", FidelitySeries(noiseless=np.array([0.75]))),
+        ("single noisy point", FidelitySeries(noiseless=np.array([1.0]), noisy=np.array([0.5]))),
+        ("noiseless only", FidelitySeries(noiseless=rng.random(101))),
+        ("extremes", FidelitySeries(noiseless=np.array([0.0, 1.0, 1e-300, 5e-324, 1.0 - 1e-16]),
+                                    noisy=np.array([1e-300, 0.0, 1.0, 0.5, 1e-12]))),
+        # 33 points: x steps by 740 / 32 = 23.125, a .xx5 under .2f
+        ("x and y on .xx5", FidelitySeries(noiseless=_boundary_values(33),
+                                           noisy=_boundary_values(33)[::-1].copy())),
+        ("two points", FidelitySeries(noiseless=np.array([1.0, 0.125]),
+                                      noisy=np.array([0.005, 0.995]))),
+    ]
+    for n in (2, 7, 26, 250, 1001):
+        cases.append((f"random {n}", FidelitySeries(noiseless=rng.random(n), noisy=rng.random(n))))
+    for title, series in cases:
+        _same_bytes(tmp_path, series, title)
+    for name, series in paper_suite():
+        _same_bytes(tmp_path, series, name)
+
+
+def test_svg_title_escaping_matches_saxutils(tmp_path):
+    series = FidelitySeries(noiseless=np.array([1.0, 0.5]), noisy=np.array([1.0, 0.25]))
+    for title in ("a&b<c>", "& < > \" '", "&amp; already escaped", "plain", ""):
+        _same_bytes(tmp_path, series, title)
+    render_svg(series, tmp_path / "t.svg", title="& < > \" '")
+    assert ">&amp; &lt; &gt; \" '</text>" in (tmp_path / "t.svg").read_text()

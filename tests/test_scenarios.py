@@ -300,6 +300,27 @@ def test_run_memory_does_not_grow_with_steps(tmp_path):
     assert growth < dim * dim * 16
 
 
+def test_noisy_hub_run_grows_with_steps_only_through_its_series():
+    # the stride-25 dense check runs inside the pass and keeps one float per
+    # check, not psi on the receiver's 199 in-arcs: 1000 more steps may add a
+    # few float64 series to the peak (kept and flipped are allocated up front)
+    sc = Scenario(graph="star", size=(200,), sender=1, receiver=0, noise="rtn", steps=100)
+    assert np.count_nonzero(receiver_state(walk_spec(scenario_graph(sc), 1, 0), "incoming")) == 199
+
+    def peak(steps: int) -> int:
+        tracemalloc.start()
+        try:
+            run_scenario(replace(sc, steps=steps))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_scenario(sc)  # warm caches outside the measurement
+    extra = 1000
+    growth = peak(sc.steps + extra) - peak(sc.steps)
+    assert growth < 4 * 8 * extra, growth
+
+
 def test_run_scenario_never_assembles_dense_operators(monkeypatch):
     import qwalk
 
