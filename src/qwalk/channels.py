@@ -17,9 +17,10 @@ fidelity therefore has the closed form
 
     F(t) = (1 + kappa(t)) / 2 * |<phi|psi>|^2 + (1 - kappa(t)) / 2 * |<phi|Z psi>|^2
 
-which :func:`dephased_series` evaluates on a run's overlap series. The route
-via :func:`kraus_set` and :func:`apply_channel` applies the same channel to a
-density matrix and serves as its independent check.
+which :func:`dephased_series` evaluates on a run's overlap series. The runner
+checks it against the Kraus sum ``sum_i |<phi|K_i psi>|^2`` over the diagonals
+of :func:`kraus_set`, on the target's support. :func:`apply_channel` applies the
+channel to a density matrix: library API and test oracle, off the run path.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import clamp_fidelity
 from .linalg import UNITARY_ATOL, check_density
 
 __all__ = [
@@ -241,12 +241,15 @@ def _kernel_series(channel: NoiseChannel, n: int) -> np.ndarray:
 
 
 def dephased_series(channel: NoiseChannel, kept: np.ndarray, flipped: np.ndarray) -> np.ndarray:
-    """The closed form ``<phi|E_t(|psi_t><psi_t|)|phi>`` at ``t = 0 .. len(kept) - 1``.
+    """The closed form ``<phi|E_t(|psi_t><psi_t|)|phi>`` at ``t = 0 .. len(kept) - 1``, unclamped.
 
     ``kept[t] = |<phi|psi_t>|^2`` and ``flipped[t] = |<phi|Z psi_t>|^2``. It equals the
-    :func:`kraus_set` + :func:`apply_channel` route without any ``dim x dim`` matrix.
+    Kraus sum ``sum_i |<phi|K_i psi_t>|^2`` over the :func:`kraus_set` diagonals (the
+    runner's cross-check, on the target's support) and the :func:`apply_channel` +
+    ``fidelity_density`` route, without any matrix.
     The channel is validated once per series, not once per ``t``: its parameters
-    when it was built, the range of ``kappa`` over the whole array.
+    when it was built, the range of ``kappa`` over the whole array. Round-off may
+    leave a value just outside ``[0, 1]``; ``FidelitySeries`` clamps it.
     """
     kappa = _kernel_series(channel, len(kept))
-    return clamp_fidelity((1.0 + kappa) / 2.0 * kept + (1.0 - kappa) / 2.0 * flipped)
+    return (1.0 + kappa) / 2.0 * kept + (1.0 - kappa) / 2.0 * flipped

@@ -24,9 +24,7 @@ from .channels import (
     OUN_DEFAULT_LAMBDA,
     RTN_DEFAULT_A,
     RTN_DEFAULT_GAMMA,
-    KrausSet,
     NoiseChannel,
-    apply_channel,
     dephased_series,
     flipped_overlap,
     kraus_set,
@@ -35,7 +33,7 @@ from .channels import (
     rtn_channel,
     rtn_kernel,
 )
-from .fidelity import NORM_ATOL, clamp_fidelity, fidelity_density
+from .fidelity import NORM_ATOL, clamp_fidelity
 from .graphs import Graph, load_graph_file, standard_family
 from .operators import RECEIVER_MODES, receiver_state, sender_state, walk_spec, walk_step
 
@@ -56,9 +54,9 @@ __all__ = [
 MODES = ("transfer", "periodicity")
 NOISE_KINDS = ("none", "rtn", "oun")
 
-# The closed-form noisy fidelity is cross-checked against the dense Kraus
-# channel and the general density formula, on the target's support, every
-# this many steps (computed inside the walk, compared after it).
+# The closed-form noisy fidelity is cross-checked against the Kraus sum
+# sum_i |<phi|K_i psi>|^2 on the target's support, every this many steps
+# (computed inside the walk, compared after it).
 _CROSS_CHECK_STRIDE = 25
 _CROSS_CHECK_ATOL = 1e-9
 # A run holds a few float64 series of steps + 1 values (80 MB each here).
@@ -128,7 +126,10 @@ SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
 
 @dataclass(frozen=True)
 class FidelitySeries:
-    """Per-step fidelities for ``t = 0 .. steps``, clamped; ``noisy`` is None without noise."""
+    """Per-step fidelities for ``t = 0 .. steps``; ``noisy`` is None without noise.
+
+    The one place a series is clamped into ``[0, 1]`` or rejected (:func:`clamp_fidelity`).
+    """
 
     noiseless: np.ndarray
     noisy: np.ndarray | None = None
@@ -173,7 +174,7 @@ def _walk(sc: Scenario, kinds: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray 
 
     ``flipped`` is None when ``kinds`` is empty. For each noise kind in
     ``kinds``, ``checks[kind] = (channel, dense)`` where ``dense[i]`` is the
-    dense-route fidelity (:func:`_dense_fidelity`) at ``t = i * _CROSS_CHECK_STRIDE``.
+    Kraus-sum fidelity (:func:`_dense_fidelity`) at ``t = i * _CROSS_CHECK_STRIDE``.
     """
     spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
     step = walk_step(spec)
@@ -221,8 +222,8 @@ def run_scenario(sc: Scenario) -> FidelitySeries:
 
     The pass (:func:`_walk`) iterates the ``O(2m)`` matrix-free step, recording
     ``kept[t] = |<target|psi_t>|^2`` and, with noise, ``flipped[t] = |<target|Z
-    psi_t>|^2`` and, every ``_CROSS_CHECK_STRIDE`` steps, the noisy fidelity by
-    the dense Kraus route on ``supp(target)`` (:func:`_dense_fidelity`): one
+    psi_t>|^2`` and, every ``_CROSS_CHECK_STRIDE`` steps, the noisy fidelity as
+    the Kraus sum on ``supp(target)`` (:func:`_dense_fidelity`): one ``O(|S|)``
     float per check, so a run's memory grows with ``steps`` only through its
     ``O(T)`` series. The combine step (:func:`_combine`) clamps ``kept`` into
     the noiseless series, mixes both with ``kappa(t)`` into the noisy one
@@ -235,21 +236,15 @@ def run_scenario(sc: Scenario) -> FidelitySeries:
 
 def _dense_fidelity(channel: NoiseChannel, t: int, a: np.ndarray, support: np.ndarray,
                     phi: np.ndarray) -> float:
-    """The noisy fidelity by the dense Kraus route on ``S = supp(target)``.
+    """The noisy fidelity as the Kraus sum on ``S = supp(target)``.
 
-    The Kraus operators are diagonal, so ``(K rho K†)_SS = K_SS rho_SS K_SS†`` and
-    ``<phi|E(|psi><psi|)|phi> = p F(E_S(a a†/p), phi_S phi_S†)`` with ``a = psi_S``,
-    ``p = |a|^2`` and ``phi = phi_S``: ``|S| x |S|`` matrices, ``|S|`` the receiver's
-    (in-)degree. Without weight on ``S`` the fidelity is 0 and the density route
-    is skipped.
+    ``<phi|E_t(|psi><psi|)|phi> = sum_i |<phi|K_i psi>|^2``, and with diagonal
+    ``K_i`` only ``a = psi_S`` and ``phi = phi_S`` enter: ``O(|S|)`` per check,
+    ``|S|`` the receiver's (in-)degree. It stays independent of the closed form's
+    kernel series and mix: the diagonals come from :func:`~qwalk.channels.kraus_set`,
+    with its scalar kernel and completeness check.
     """
-    p = float(np.vdot(a, a).real)
-    ks = kraus_set(channel, t)
-    if not (p > 0.0 and np.isfinite(p)):  # no weight on S, or a state the norm check rejects
-        return 0.0
-    block = KrausSet(operators=tuple(k[support] for k in ks.operators), time=ks.time)
-    rho = apply_channel(np.outer(a, a.conj()) / p, block)
-    return p * fidelity_density(rho, np.outer(phi, phi.conj()))
+    return sum(abs(np.vdot(phi, k[support] * a)) ** 2 for k in kraus_set(channel, t).operators)
 
 
 def _family(graph: str, size: tuple[int, ...], s: int, r: int | None, mode: str) -> Scenario:

@@ -12,6 +12,9 @@ dense Weyl-matrix Kraus products (``weyl_operator``, ``dense_kraus_set``,
 graph layer the array-native one replaced. ``dephased_fidelity`` and
 ``stepwise_series`` are the per-state closed form and the per-step readout
 loop that the runner's single overlap pass and combine step replaced.
+``support_block_fidelity`` is the runner's former stride-25 cross-check: the
+channel applied to the ``|S| x |S|`` block of ``S = supp(target)`` and the
+general density formula, which the runner's ``O(|S|)`` Kraus sum replaced.
 ``reference_write_csv`` and ``reference_render_svg`` are the writers as they
 were before they formatted from ``tolist()`` and numpy coordinate arrays:
 one numpy scalar at a time, the title escaped by ``xml.sax.saxutils``.
@@ -31,10 +34,12 @@ from qwalk.channels import (
     NoiseChannel,
     _checked_kernel,
     _z_diagonal,
+    apply_channel,
+    kraus_set,
     oun_channel,
     rtn_channel,
 )
-from qwalk.fidelity import clamp_fidelity, fidelity_pure
+from qwalk.fidelity import clamp_fidelity, fidelity_density, fidelity_pure
 from qwalk.linalg import UNITARY_ATOL, check_density
 from qwalk.operators import (
     WalkOperators,
@@ -195,6 +200,25 @@ def stepwise_series(sc) -> tuple[np.ndarray, np.ndarray | None]:
         if channel is not None:
             noisy[t] = dephased_fidelity(channel, t, psi, target)
     return noiseless, noisy
+
+
+def support_block_fidelity(channel: NoiseChannel, t: int, a: np.ndarray, support: np.ndarray,
+                           phi: np.ndarray) -> float:
+    """The noisy fidelity by the dense Kraus route on ``S = supp(target)``.
+
+    The Kraus operators are diagonal, so ``(K rho K†)_SS = K_SS rho_SS K_SS†`` and
+    ``<phi|E(|psi><psi|)|phi> = p F(E_S(a a†/p), phi_S phi_S†)`` with ``a = psi_S``,
+    ``p = |a|^2`` and ``phi = phi_S``: ``|S| x |S|`` matrices, ``|S|`` the receiver's
+    (in-)degree. Without weight on ``S`` the fidelity is 0 and the density route
+    is skipped. The arguments are those of the runner's ``_dense_fidelity``.
+    """
+    p = float(np.vdot(a, a).real)
+    ks = kraus_set(channel, t)
+    if not (p > 0.0 and np.isfinite(p)):  # no weight on S, or a state the norm check rejects
+        return 0.0
+    block = KrausSet(operators=tuple(k[support] for k in ks.operators), time=ks.time)
+    rho = apply_channel(np.outer(a, a.conj()) / p, block)
+    return p * fidelity_density(rho, np.outer(phi, phi.conj()))
 
 
 def uhlmann_fidelity_scipy(rho, sigma) -> float:

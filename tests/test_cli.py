@@ -252,9 +252,11 @@ def test_run_rejects_a_horizon_too_long_to_store(tmp_path, capsys):
 def test_run_reports_internal_error_with_exit_three(tmp_path, capsys, monkeypatch):
     import qwalk.scenarios
 
-    monkeypatch.setattr(qwalk.scenarios, "fidelity_density", lambda rho, sigma: 0.5)
-    # a periodicity run starts on its own target, so the t=0 check reaches the
-    # dense route (a transfer walker off the target's support skips it)
+    real = qwalk.scenarios.dephased_series
+    monkeypatch.setattr(qwalk.scenarios, "dephased_series",
+                        lambda channel, kept, flipped: real(channel, flipped, kept))
+    # a periodicity run starts on its own target (kept = 1, flipped = 0 at t=0),
+    # so the closed form with its overlaps swapped is wrong from the first check
     code = main(
         [
             "run", "--graph", "cycle", "--size", "6", "--sender", "0", "--mode", "periodicity",
@@ -266,6 +268,7 @@ def test_run_reports_internal_error_with_exit_three(tmp_path, capsys, monkeypatc
     assert err.count("\n") == 1
     assert err.startswith("internal error: fidelity cross-check failed at t=0")
     assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_run_reports_norm_drift_as_an_internal_error(tmp_path, capsys, monkeypatch):

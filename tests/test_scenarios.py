@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qwalk.channels import oun_channel, rtn_channel
+from qwalk.channels import _kernel_series, oun_channel, rtn_channel
 from qwalk.fidelity import fidelity_density
 from qwalk.graphs import path_graph
 from qwalk.operators import receiver_state, sender_state, walk_spec, walk_unitary
@@ -24,7 +24,13 @@ from qwalk.scenarios import (
     scenario_graph,
 )
 
-from .oracles import dense_apply_channel, dense_kraus_set, random_simple_graph, stepwise_series
+from .oracles import (
+    dense_apply_channel,
+    dense_kraus_set,
+    random_simple_graph,
+    stepwise_series,
+    support_block_fidelity,
+)
 
 
 def test_scenario_validation():
@@ -184,7 +190,7 @@ def test_default_name():
 
 
 def test_shortcut_cross_check_runs():
-    # sampled steps exercise the dense Kraus + density-formula cross-check inside the runner
+    # sampled steps exercise the runner's cross-check, the Kraus sum on the target's support
     series = run_scenario(
         Scenario(graph="kab", size=(2, 3), sender=0, receiver=1,
                  receiver_mode="outgoing", noise="rtn", steps=25)
@@ -367,47 +373,75 @@ def test_noisy_run_allocates_no_dense_matrix():
         assert peak < dim * dim * 8  # one dim x dim float64 array
 
 
-def test_cross_check_reads_only_the_target_support_block(monkeypatch, tmp_path):
+def test_cross_check_equals_the_support_block_route_at_every_step(monkeypatch):
+    # the runtime Kraus sum against the |S| x |S| channel and density formula
+    # it replaced, on the same arguments at every step
     import qwalk.scenarios
 
-    real = qwalk.scenarios.fidelity_density
-    seen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    real = qwalk.scenarios._dense_fidelity
+    sizes, worst = set(), 0.0
 
-    def spy(rho, sigma):
-        seen.append((np.shape(rho), np.shape(sigma)))
-        return real(rho, sigma)
+    def spy(channel, t, a, support, phi):
+        nonlocal worst
+        value = real(channel, t, a, support, phi)
+        worst = max(worst, abs(value - support_block_fidelity(channel, t, a, support, phi)))
+        sizes.add(len(support))
+        return value
 
-    monkeypatch.setattr(qwalk.scenarios, "fidelity_density", spy)
-    graph = _write_graph_file(tmp_path / "g.txt", 9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
-                                                      (5, 6), (6, 7), (7, 8), (8, 0), (4, 0),
-                                                      (4, 2), (4, 7)])
-    cases = [
-        (Scenario(graph="kab", size=(4, 5), sender=0, receiver=4, noise="rtn", steps=100), 4),
-        (Scenario(graph="star", size=(8,), sender=0, mode="periodicity", noise="oun",
-                  steps=100), 7),
-        (Scenario(graph=graph, sender=0, receiver=4, noise="rtn", steps=100), 5),
-        (Scenario(graph=graph, sender=3, receiver=4, noise="oun", receiver_mode="outgoing",
-                  steps=100), 5),
-    ]
-    for sc, support in cases:
-        seen.clear()
-        series = run_scenario(sc)
-        assert series.steps == 100
-        assert seen, sc  # the dense route ran at least once
-        assert all(rho == sigma == (support, support) for rho, sigma in seen), sc
-
-
-def test_cross_check_skips_the_dense_route_when_psi_misses_the_support(monkeypatch):
-    import qwalk.scenarios
-
-    def unreachable(rho, sigma):
-        raise AssertionError("fidelity_density called with zero weight on the support")
-
-    monkeypatch.setattr(qwalk.scenarios, "fidelity_density", unreachable)
-    # at t = 0 the walker sits on vertex 0's arcs, two vertices away from 3's
+    monkeypatch.setattr(qwalk.scenarios, "_CROSS_CHECK_STRIDE", 1)
+    monkeypatch.setattr(qwalk.scenarios, "_dense_fidelity", spy)
+    suite = paper_suite()
+    assert len(suite) == 22
+    # receivers whose support S is a hub's 59 or 30 incoming arcs
+    for graph, size, sender in (("star", (60,), 1), ("kab", (10, 30), 10)):
+        for noise in ("rtn", "oun"):
+            sc = Scenario(graph=graph, size=size, sender=sender, receiver=0, noise=noise, steps=50)
+            assert run_scenario(sc).steps == 50
+    assert {59, 30} <= sizes
+    assert worst <= 1e-12
+    # at t = 0 the walker sits on vertex 0's arcs, two vertices away from 3's:
+    # no weight on the support gives exactly 0
     series = run_scenario(Scenario(graph="cycle", size=(6,), sender=0, receiver=3,
                                    noise="rtn", steps=24))
     assert series.noisy[0] == 0.0
+
+
+def _other_kernel(channel, n):
+    other = oun_channel(channel.dim) if channel.kind == "rtn" else rtn_channel(channel.dim)
+    return _kernel_series(other, n)
+
+
+@pytest.mark.parametrize("fault", [
+    pytest.param(lambda channel, n: -_kernel_series(channel, n), id="kappa-negated"),
+    pytest.param(lambda channel, n: _kernel_series(channel, n + 1)[1:], id="kappa-shifted"),
+    pytest.param(lambda channel, n: _kernel_series(channel, n) ** 2, id="kappa-squared"),
+    pytest.param(_other_kernel, id="other-channel-kappa"),
+    pytest.param(None, id="kept-flipped-swapped"),
+])
+def test_cross_check_catches_closed_form_faults(monkeypatch, fault):
+    import qwalk.channels
+    import qwalk.scenarios
+
+    if fault is None:
+        real = qwalk.scenarios.dephased_series
+        monkeypatch.setattr(qwalk.scenarios, "dephased_series",
+                            lambda channel, kept, flipped: real(channel, flipped, kept))
+    else:
+        monkeypatch.setattr(qwalk.channels, "_kernel_series", fault)
+    with pytest.raises(RuntimeError, match="fidelity cross-check failed at t="):
+        paper_suite()
+
+
+def test_runs_call_no_eigensolver(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an eigensolver ran on the run path")
+
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, unreachable)
+    assert len(paper_suite()) == 22
+    for noise in ("rtn", "oun"):
+        sc = Scenario(graph="star", size=(200,), sender=1, receiver=0, noise=noise, steps=300)
+        assert run_scenario(sc).steps == 300
 
 
 def test_family_placement_rejected_before_the_graph_is_built(monkeypatch):
