@@ -399,10 +399,61 @@ def test_cross_check_equals_the_support_block_route_at_every_step(monkeypatch):
             assert run_scenario(sc).steps == 50
     assert {59, 30} <= sizes
     assert worst <= 1e-12
+
+
+def test_cross_check_reads_only_the_target_support_block(monkeypatch, tmp_path):
+    import qwalk.scenarios
+
+    real = qwalk.scenarios._dense_fidelity
+    seen: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+
+    def spy(channel, t, a, support, phi):
+        seen.append((len(support), np.shape(a), np.shape(phi)))
+        return real(channel, t, a, support, phi)
+
+    monkeypatch.setattr(qwalk.scenarios, "_dense_fidelity", spy)
+    graph = _write_graph_file(tmp_path / "g.txt", 9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+                                                      (5, 6), (6, 7), (7, 8), (8, 0), (4, 0),
+                                                      (4, 2), (4, 7)])
+    cases = [
+        (Scenario(graph="kab", size=(4, 5), sender=0, receiver=4, noise="rtn", steps=100), 4),
+        (Scenario(graph="star", size=(8,), sender=0, mode="periodicity", noise="oun",
+                  steps=100), 7),
+        (Scenario(graph=graph, sender=0, receiver=4, noise="rtn", steps=100), 5),
+        (Scenario(graph=graph, sender=3, receiver=4, noise="oun", receiver_mode="outgoing",
+                  steps=100), 5),
+    ]
+    for sc, support in cases:
+        seen.clear()
+        series = run_scenario(sc)
+        assert series.steps == 100
+        assert len(seen) == 5, sc  # t = 0, 25, 50, 75, 100
+        assert all(s == support and a == phi == (support,) for s, a, phi in seen), sc
+
+
+def test_cross_check_skips_the_dense_route_when_psi_misses_the_support(monkeypatch):
+    import qwalk.channels
+    import qwalk.fidelity
+    import qwalk.scenarios
+
+    def unreachable(*args):
+        raise AssertionError("the dense channel + density route ran on the run path")
+
+    monkeypatch.setattr(qwalk.channels, "apply_channel", unreachable)
+    monkeypatch.setattr(qwalk.fidelity, "fidelity_density", unreachable)
+    real = qwalk.scenarios._dense_fidelity
+    checked: dict[int, float] = {}
+
+    def spy(channel, t, a, support, phi):
+        checked[t] = real(channel, t, a, support, phi)
+        return checked[t]
+
+    monkeypatch.setattr(qwalk.scenarios, "_dense_fidelity", spy)
     # at t = 0 the walker sits on vertex 0's arcs, two vertices away from 3's:
     # no weight on the support gives exactly 0
     series = run_scenario(Scenario(graph="cycle", size=(6,), sender=0, receiver=3,
                                    noise="rtn", steps=24))
+    assert checked == {0: 0.0}
     assert series.noisy[0] == 0.0
 
 
