@@ -32,16 +32,12 @@ from .graphs import (
     standard_family,
     star_graph,
 )
-from .linalg import hermitian_eig, is_unitary, psd_sqrt
 from .operators import (
     WalkOperators,
     WalkSpec,
     WalkStep,
-    coin_operator,
-    grover_diffusion,
     receiver_state,
     sender_state,
-    shift_operator,
     walk_spec,
     walk_step,
     walk_unitary,
@@ -70,16 +66,10 @@ __all__ = [
     "edge_space",
     "parse_graph_file",
     "load_graph_file",
-    "is_unitary",
-    "hermitian_eig",
-    "psd_sqrt",
     "WalkSpec",
     "WalkOperators",
     "WalkStep",
     "walk_spec",
-    "grover_diffusion",
-    "coin_operator",
-    "shift_operator",
     "walk_unitary",
     "walk_step",
     "sender_state",

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UNITARY_ATOL, check_density
+from .fidelity import check_density
+from .operators import UNITARY_ATOL
 
 __all__ = [
     "RTN_DEFAULT_A",

@@ -34,8 +34,8 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
         "--size",
         help="family size: one integer, or m,n for the complete bipartite family",
     )
-    parser.add_argument("--sender", type=int, help="sender vertex")
-    parser.add_argument("--receiver", type=int, help="receiver vertex")
+    parser.add_argument("--sender", help="sender vertex")
+    parser.add_argument("--receiver", help="receiver vertex")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,11 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="receiver-state convention (default incoming)",
     )
     run.add_argument("--noise", choices=["none", "rtn", "oun"], help="noise channel")
-    run.add_argument("--rtn-a", type=float, help="telegraph transition amplitude (default 0.1)")
-    run.add_argument("--rtn-gamma", type=float, help="telegraph damping rate (default 0.01)")
-    run.add_argument("--oun-lambda", type=float, help="OU relaxation parameter (default 1)")
-    run.add_argument("--oun-gamma", type=float, help="OU noise bandwidth (default 0.05)")
-    run.add_argument("--steps", type=int, help="number of walk steps (default 100)")
+    run.add_argument("--rtn-a", help="telegraph transition amplitude (default 0.1)")
+    run.add_argument("--rtn-gamma", help="telegraph damping rate (default 0.01)")
+    run.add_argument("--oun-lambda", help="OU relaxation parameter (default 1)")
+    run.add_argument("--oun-gamma", help="OU noise bandwidth (default 0.05)")
+    run.add_argument("--steps", help="number of walk steps (default 100)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--name", help="basename for the output files (default: derived)")
 
@@ -79,16 +79,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# dump-operators assembles three dense dim x dim float64 matrices (32 MiB
-# each at this limit) and checks them in O(dim^3); larger walks are refused.
+# dump-operators materialises the step on every basis arc into three dense
+# dim x dim float64 matrices (32 MiB each at this limit) and checks them in
+# O(dim^3); larger walks are refused.
 DUMP_MAX_DIM = 2048
 
 
 def _flag_mapping(args: argparse.Namespace) -> dict[str, str]:
-    """The scenario keys given on the command line, as strings."""
+    """The scenario keys given on the command line, unconverted, as a config file gives them."""
     # every scenario key has a command-line flag of the same (dashed) name
     values = {key: getattr(args, key, None) for key in SCENARIO_KEYS}
-    return {key: str(value) for key, value in values.items() if value is not None}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _run_command(args: argparse.Namespace) -> int:

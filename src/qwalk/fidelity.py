@@ -4,19 +4,21 @@ Three routes: the pure-pure overlap, the general density-density formula
 ``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``, and the exact shortcut
 ``<phi|rho|phi>`` when the target is pure. Raw values may poke out of
 [0, 1] by round-off; :func:`clamp_fidelity` clamps them within a small
-window and rejects them beyond it, for one value or a whole series.
+window and rejects them beyond it, for one value or a whole series. The
+density routes rest on two checked dense kernels, :func:`check_density`
+(also used by :func:`qwalk.channels.apply_channel`) and :func:`psd_sqrt`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import check_density, psd_sqrt
-
 __all__ = [
     "CLAMP_WINDOW",
     "NORM_ATOL",
     "clamp_fidelity",
+    "check_density",
+    "psd_sqrt",
     "fidelity_pure",
     "fidelity_density",
     "fidelity_pure_target",
@@ -24,6 +26,9 @@ __all__ = [
 
 CLAMP_WINDOW = 1e-10
 NORM_ATOL = 1e-10  # |‖psi‖ - 1| of a pure state
+HERMITIAN_ATOL = 1e-10  # max |M - M†|
+PSD_EIGENVALUE_FLOOR = -1e-10  # eigenvalues above this are clamped to 0
+DENSITY_TRACE_ATOL = 1e-10
 
 
 def clamp_fidelity(values):
@@ -33,6 +38,62 @@ def clamp_fidelity(values):
     if outside.any():
         raise ValueError(f"fidelity {values[outside].flat[0]:.12g} outside [0, 1] beyond round-off")
     return np.clip(values, 0.0, 1.0)
+
+
+def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    return a
+
+
+def psd_sqrt(m) -> np.ndarray:
+    """Hermitian square root of a positive-semidefinite matrix.
+
+    The input must be Hermitian to within ``HERMITIAN_ATOL``; it is
+    symmetrized before decomposition. Eigenvalues in
+    ``[PSD_EIGENVALUE_FLOOR, 0)`` are treated as round-off and clamped to 0;
+    anything below the floor is rejected as genuinely non-PSD input.
+    """
+    m = _as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got {m.shape}")
+    if float(np.abs(m - m.conj().T).max()) > HERMITIAN_ATOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    if eigenvalues.min() < PSD_EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"matrix is not positive semidefinite: smallest eigenvalue {eigenvalues.min():.3e}"
+        )
+    clamped = np.clip(eigenvalues, 0.0, None)
+    # Rank-deficient inputs carry eps-size noise eigenvalues whose square
+    # roots would be O(1e-8); zero everything below the numerical rank floor.
+    floor = clamped.size * np.finfo(float).eps * clamped.max()
+    clamped[clamped < floor] = 0.0
+    root = (eigenvectors * np.sqrt(clamped)) @ eigenvectors.conj().T
+    return 0.5 * (root + root.conj().T)
+
+
+def check_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
+    """Validate a density matrix: square, Hermitian, unit trace, PSD.
+
+    Returns the input as a complex array. ``dim``, when given, pins the
+    expected dimension.
+    """
+    rho = _as_matrix(rho, name)
+    if rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"{name} must be square, got {rho.shape}")
+    if dim is not None and rho.shape[0] != dim:
+        raise ValueError(f"{name} has dimension {rho.shape[0]}, expected {dim}")
+    if float(np.abs(rho - rho.conj().T).max()) > HERMITIAN_ATOL:
+        raise ValueError(f"{name} is not Hermitian within tolerance")
+    trace = complex(np.trace(rho))
+    if abs(trace - 1.0) > DENSITY_TRACE_ATOL:
+        raise ValueError(f"{name} has trace {trace:.12g}, expected 1")
+    smallest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    if smallest < PSD_EIGENVALUE_FLOOR:
+        raise ValueError(f"{name} is not PSD: smallest eigenvalue {smallest:.3e}")
+    return rho
 
 
 def _check_pure(psi, name: str) -> np.ndarray:

@@ -6,11 +6,13 @@ negated (once each; a vertex that is both sender and receiver is negated
 exactly once). The shift is the permutation that reverses every directed
 edge, and one walk step is ``shift @ coin``.
 
-:func:`walk_step` applies that step matrix-free in ``O(2m)``: one block sum
-(``np.add.reduceat``) and two gathers over ``O(dim)`` index arrays. It is
-what the runner iterates. :func:`walk_unitary` materialises the dense
-``dim x dim`` coin, shift and step for ``dump-operators`` and as the
-reference the matrix-free step is tested against.
+:func:`walk_step` is the one definition of that step: it applies it
+matrix-free in ``O(2m)``, with one block sum (``np.add.reduceat``) and two
+gathers over ``O(dim)`` index arrays. It is what the runner iterates.
+:func:`walk_unitary` materialises it for ``dump-operators``: the step
+applied to every basis arc gives the dense ``dim x dim`` step, from which
+the shift and the coin follow. The tests check both against the
+per-vertex Grover assembly in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,16 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DirectedEdgeSpace, Graph, edge_space
-from .linalg import UNITARY_ATOL, is_unitary
 
 __all__ = [
     "WalkSpec",
     "WalkOperators",
     "WalkStep",
     "walk_spec",
-    "grover_diffusion",
-    "coin_operator",
-    "shift_operator",
     "walk_unitary",
     "walk_step",
     "sender_state",
@@ -37,6 +35,7 @@ __all__ = [
 ]
 
 RECEIVER_MODES = ("incoming", "outgoing")
+UNITARY_ATOL = 1e-12  # max-norm residual of an involution or unitarity check
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,11 @@ def walk_spec(graph: Graph, sender: int, receiver: int) -> WalkSpec:
 class WalkOperators:
     """Materialized coin, shift and one-step unitary (all ``2m x 2m``).
 
-    The arrays are real and marked read-only; construction verifies
-    ``coin @ coin == I``, ``shift @ shift == I`` and unitarity of the step
-    operator to ``1e-12``. This dense form serves ``dump-operators`` and
-    the tests; runs use the matrix-free :class:`WalkStep`.
+    The arrays are real and marked read-only; :func:`walk_unitary` derives
+    them from :class:`WalkStep` and verifies ``coin @ coin == I``,
+    ``shift @ shift == I`` and unitarity of the step operator to ``1e-12``.
+    This dense form serves ``dump-operators``; runs apply the matrix-free
+    :class:`WalkStep`.
     """
 
     coin: np.ndarray
@@ -79,58 +79,6 @@ class WalkOperators:
     @property
     def dim(self) -> int:
         return self.unitary.shape[0]
-
-
-def grover_diffusion(d: int) -> np.ndarray:
-    """The d-dimensional reflection about the uniform state.
-
-    Entries are ``2/d - 1`` on the diagonal and ``2/d`` elsewhere; for
-    ``d == 1`` this is the scalar ``[1]`` and for ``d == 2`` the swap.
-    """
-    if d < 1:
-        raise ValueError(f"coin dimension must be >= 1, got {d}")
-    return (2.0 / d) * np.ones((d, d)) - np.eye(d)
-
-
-def coin_operator(spec: WalkSpec) -> np.ndarray:
-    """Block-diagonal coin: per-vertex Grover blocks, sender/receiver negated."""
-    coin = np.zeros((spec.space.dim, spec.space.dim))
-    marked = {spec.sender, spec.receiver}
-    for v in range(spec.graph.n):
-        start, stop = spec.space.starts[v : v + 2]
-        block = grover_diffusion(spec.graph.degree(v))
-        if v in marked:
-            block = -block
-        coin[start:stop, start:stop] = block
-    return coin
-
-
-def shift_operator(space: DirectedEdgeSpace) -> np.ndarray:
-    """Permutation matrix that sends edge ``(u, v)`` to ``(v, u)``."""
-    shift = np.zeros((space.dim, space.dim))
-    shift[space.reverse_of, np.arange(space.dim)] = 1.0
-    return shift
-
-
-def walk_unitary(spec: WalkSpec) -> WalkOperators:
-    """Assemble the dense step operator ``U = S @ C`` and verify its invariants.
-
-    Costs ``O(dim^2)`` memory and ``O(dim^3)`` time for the checks; use
-    :func:`walk_step` to apply the step.
-    """
-    coin = coin_operator(spec)
-    shift = shift_operator(spec.space)
-    unitary = shift @ coin
-    eye = np.eye(spec.space.dim)
-    if float(np.abs(coin @ coin - eye).max()) > UNITARY_ATOL:
-        raise RuntimeError("coin operator is not an involution")
-    if float(np.abs(shift @ shift - eye).max()) > UNITARY_ATOL:
-        raise RuntimeError("shift operator is not an involution")
-    if not is_unitary(unitary, UNITARY_ATOL):
-        raise RuntimeError("step operator is not unitary")
-    for a in (coin, shift, unitary):
-        a.flags.writeable = False
-    return WalkOperators(coin=coin, shift=shift, unitary=unitary)
 
 
 @dataclass(frozen=True)
@@ -209,6 +157,35 @@ def walk_step(spec: WalkSpec) -> WalkStep:
     if abs(float(np.linalg.norm(step(probe))) - 1.0) > UNITARY_ATOL:
         raise RuntimeError("step operator is not norm-preserving")
     return step
+
+
+def walk_unitary(spec: WalkSpec) -> WalkOperators:
+    """Materialise :func:`walk_step` as the dense coin, shift and step, and verify them.
+
+    Column ``k`` of ``U = S @ C`` is the step applied to basis arc ``k``;
+    ``S`` is the arc-reversal permutation and ``C = S @ U``. Costs
+    ``O(dim^2)`` memory and ``O(dim^3)`` time for the checks.
+    """
+    step = walk_step(spec)
+    eye = np.eye(spec.space.dim)
+    reverse = spec.space.reverse_of
+    columns = np.array([step(e) for e in eye]).T
+    block_of = np.repeat(np.arange(spec.graph.n), spec.graph.degrees)
+    # The step negates zeros into -0.0 around marked vertices, and the dumps
+    # print %.6f: keep the signs of the per-vertex Grover assembly, whose only
+    # -0.0 sit on the diagonal of a negated degree-2 coin block.
+    coin = np.where(block_of[:, None] == block_of[None, :], columns[reverse], 0.0)
+    shift = eye[reverse]
+    unitary = columns + 0.0
+    if float(np.abs(coin @ coin - eye).max()) > UNITARY_ATOL:
+        raise RuntimeError("coin operator is not an involution")
+    if float(np.abs(shift @ shift - eye).max()) > UNITARY_ATOL:
+        raise RuntimeError("shift operator is not an involution")
+    if float(np.abs(unitary.T @ unitary - eye).max()) > UNITARY_ATOL:
+        raise RuntimeError("step operator is not unitary")
+    for a in (coin, shift, unitary):
+        a.flags.writeable = False
+    return WalkOperators(coin=coin, shift=shift, unitary=unitary)
 
 
 def sender_state(spec: WalkSpec) -> np.ndarray:

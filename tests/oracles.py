@@ -2,7 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: products
 are computed with explicit loops, evolution with explicit matrix powers,
-and matrix square roots via scipy's Schur-based algorithm. The dense
+and matrix square roots via scipy's Schur-based algorithm.
+``dense_walk_operators`` assembles the coin block by block from
+``grover_diffusion`` (``coin_operator``), the shift as a permutation matrix
+(``shift_operator``) and the step as their product: the dense assembly that
+``walk_unitary`` replaced by materialising the matrix-free step. The dense
 density-matrix routes (``evolve_density``, ``noisy_state``) build the
 channel output as a ``dim x dim`` matrix, which the library's closed-form
 noisy fidelity never does; ``noisy_state`` applies the channel as a sum of
@@ -39,10 +43,12 @@ from qwalk.channels import (
     oun_channel,
     rtn_channel,
 )
-from qwalk.fidelity import clamp_fidelity, fidelity_density, fidelity_pure
-from qwalk.linalg import UNITARY_ATOL, check_density
+from qwalk.fidelity import check_density, clamp_fidelity, fidelity_density, fidelity_pure
+from qwalk.graphs import DirectedEdgeSpace
 from qwalk.operators import (
+    UNITARY_ATOL,
     WalkOperators,
+    WalkSpec,
     receiver_state,
     sender_state,
     walk_spec,
@@ -77,6 +83,44 @@ def naive_matmul(a, b) -> np.ndarray:
                 acc += a[i, k] * b[k, j]
             out[i, j] = acc
     return out
+
+
+def grover_diffusion(d: int) -> np.ndarray:
+    """The d-dimensional reflection about the uniform state.
+
+    Entries are ``2/d - 1`` on the diagonal and ``2/d`` elsewhere; for
+    ``d == 1`` this is the scalar ``[1]`` and for ``d == 2`` the swap.
+    """
+    if d < 1:
+        raise ValueError(f"coin dimension must be >= 1, got {d}")
+    return (2.0 / d) * np.ones((d, d)) - np.eye(d)
+
+
+def coin_operator(spec: WalkSpec) -> np.ndarray:
+    """Block-diagonal coin: per-vertex Grover blocks, sender/receiver negated."""
+    coin = np.zeros((spec.space.dim, spec.space.dim))
+    marked = {spec.sender, spec.receiver}
+    for v in range(spec.graph.n):
+        start, stop = spec.space.starts[v : v + 2]
+        block = grover_diffusion(spec.graph.degree(v))
+        if v in marked:
+            block = -block
+        coin[start:stop, start:stop] = block
+    return coin
+
+
+def shift_operator(space: DirectedEdgeSpace) -> np.ndarray:
+    """Permutation matrix that sends edge ``(u, v)`` to ``(v, u)``."""
+    shift = np.zeros((space.dim, space.dim))
+    shift[space.reverse_of, np.arange(space.dim)] = 1.0
+    return shift
+
+
+def dense_walk_operators(spec: WalkSpec) -> WalkOperators:
+    """The coin, shift and step ``shift @ coin`` assembled as dense matrices."""
+    coin = coin_operator(spec)
+    shift = shift_operator(spec.space)
+    return WalkOperators(coin=coin, shift=shift, unitary=shift @ coin)
 
 
 def power_evolved(unitary, psi0, t: int) -> np.ndarray:
@@ -239,11 +283,6 @@ def random_density(rng: np.random.Generator, d: int) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
-
-
-def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return 0.5 * (a + a.conj().T)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

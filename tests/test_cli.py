@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from qwalk.cli import main
-from qwalk.graphs import path_graph
-from qwalk.operators import walk_spec, walk_unitary
+from qwalk.graphs import cycle_graph, path_graph
+from qwalk.operators import walk_spec
+from qwalk.output import write_matrix_csv
+
+from .oracles import dense_walk_operators
 
 
 def test_run_with_flags(tmp_path, capsys):
@@ -105,18 +108,49 @@ def test_paper_suite_writes_all_series(tmp_path):
 
 
 def test_dump_operators(tmp_path):
+    # C6 0->3 negates two degree-2 coin blocks, whose diagonals print -0.000000
+    for family, graph, sender, receiver in (("path", path_graph(5), 0, 4),
+                                            ("cycle", cycle_graph(6), 0, 3)):
+        out, expected = tmp_path / family, tmp_path / f"{family}-oracle"
+        expected.mkdir()
+        code = main(
+            [
+                "dump-operators", "--graph", family, "--size", str(graph.n),
+                "--sender", str(sender), "--receiver", str(receiver), "--out", str(out),
+            ]
+        )
+        assert code == 0
+        dense = dense_walk_operators(walk_spec(graph, sender, receiver))
+        for name in ("coin", "shift", "unitary"):
+            write_matrix_csv(getattr(dense, name), expected / f"{name}.csv")
+            assert (out / f"{name}.csv").read_bytes() == (expected / f"{name}.csv").read_bytes(), (
+                family, name
+            )
+
+
+def test_dump_operators_reports_a_failed_operator_check_with_exit_three(
+    tmp_path, capsys, monkeypatch
+):
+    import qwalk.operators
+
+    real_walk_step = qwalk.operators.walk_step
+
+    def doubled_walk_step(spec):
+        step = real_walk_step(spec)
+        return replace(step, sign_after=2.0 * step.sign_after)
+
+    monkeypatch.setattr(qwalk.operators, "walk_step", doubled_walk_step)
     code = main(
         [
-            "dump-operators", "--graph", "path", "--size", "5",
-            "--sender", "0", "--receiver", "4", "--out", str(tmp_path),
+            "dump-operators", "--graph", "cycle", "--size", "6", "--sender", "0",
+            "--receiver", "3", "--out", str(tmp_path / "ops"),
         ]
     )
-    assert code == 0
-    ops = walk_unitary(walk_spec(path_graph(5), 0, 4))
-    for name, matrix in (("coin", ops.coin), ("shift", ops.shift), ("unitary", ops.unitary)):
-        rows = (tmp_path / f"{name}.csv").read_text().splitlines()
-        parsed = np.array([[float(x) for x in row.split(",")] for row in rows])
-        assert np.abs(parsed - matrix).max() <= 5e-7  # %.6f rounding
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err == "internal error: coin operator is not an involution\n"
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_cli_entry_point_runs_as_module(tmp_path):
@@ -302,6 +336,10 @@ def test_run_reports_norm_drift_as_an_internal_error(tmp_path, capsys, monkeypat
         ("steps = 1e3\n", [], "error: steps: expected an integer, got '1e3'\n"),
         ("noise = oun\noun_gamma = fast\n", [], "error: oun_gamma: expected a number, got 'fast'\n"),
         ("", ["--size", "5,x"], "error: size: expected integers, got '5,x'\n"),
+        ("", ["--sender", "zero"], "error: sender: expected an integer, got 'zero'\n"),
+        ("", ["--steps", "1e3"], "error: steps: expected an integer, got '1e3'\n"),
+        ("", ["--noise", "oun", "--oun-gamma", "fast"],
+         "error: oun_gamma: expected a number, got 'fast'\n"),
     ],
 )
 def test_run_names_the_key_whose_value_fails_to_convert(tmp_path, capsys, config, flags,

@@ -7,15 +7,15 @@ from qwalk.channels import oun_channel, rtn_channel
 from qwalk.evolution import evolve_pure
 from qwalk.fidelity import fidelity_pure, fidelity_pure_target
 from qwalk.graphs import complete_bipartite_graph, cycle_graph, path_graph, star_graph
-from qwalk.operators import receiver_state, sender_state, walk_spec, walk_step, walk_unitary
+from qwalk.operators import receiver_state, sender_state, walk_spec, walk_step
 
-from .oracles import evolve_density, noisy_state, power_evolved
+from .oracles import dense_walk_operators, evolve_density, noisy_state, power_evolved
 
 
 @pytest.fixture(scope="module")
 def p5_transfer():
     spec = walk_spec(path_graph(5), 0, 4)
-    return spec, walk_unitary(spec)
+    return spec, dense_walk_operators(spec)
 
 
 def test_evolve_pure_zero_steps(p5_transfer):
@@ -133,7 +133,7 @@ def test_path_graph_noise_transparency(p5_transfer):
 
 def test_cycle_transfer_noise_reduces_fidelity_at_peak():
     spec = walk_spec(cycle_graph(6), 0, 3)
-    ops = walk_unitary(spec)
+    ops = dense_walk_operators(spec)
     psi0 = sender_state(spec)
     target = receiver_state(spec, "outgoing")
     noiseless = fidelity_pure(evolve_pure(walk_step(spec), psi0, 3), target)
@@ -143,7 +143,7 @@ def test_cycle_transfer_noise_reduces_fidelity_at_peak():
 
 def test_basis_target_transparency_on_star():
     spec = walk_spec(star_graph(6), 0, 1)
-    ops = walk_unitary(spec)
+    ops = dense_walk_operators(spec)
     psi0 = sender_state(spec)
     target = receiver_state(spec, "outgoing")  # a single basis vector
     assert np.count_nonzero(target) == 1

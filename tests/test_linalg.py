@@ -1,13 +1,16 @@
+"""The dense kernels of :mod:`qwalk.fidelity` (``psd_sqrt``, ``check_density``) and the
+matrix-product oracle, checked on the walk operators and on random matrices."""
+
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from qwalk.fidelity import check_density, psd_sqrt
 from qwalk.graphs import cycle_graph, path_graph, star_graph
-from qwalk.linalg import check_density, hermitian_eig, is_unitary, psd_sqrt
-from qwalk.operators import coin_operator, shift_operator, walk_spec, walk_unitary
+from qwalk.operators import walk_spec, walk_unitary
 
-from .oracles import naive_matmul, random_density, random_hermitian, random_pure
+from .oracles import naive_matmul, random_density, random_pure
 
 
 def test_matmul_against_triple_loop_on_walk_operators():
@@ -34,52 +37,9 @@ def test_matmul_associativity():
             assert np.abs(ops.unitary @ psi - ops.shift @ (ops.coin @ psi)).max() < 1e-12
 
 
-def test_is_unitary_identity():
-    assert is_unitary(np.eye(4), tol=1e-12)
-
-
-def test_is_unitary_walk_step():
-    spec = walk_spec(path_graph(5), 0, 4)
-    step = shift_operator(spec.space) @ coin_operator(spec)
-    assert is_unitary(step, tol=1e-12)
-
-
-def test_is_unitary_detects_perturbation():
-    m = np.eye(4, dtype=complex)
-    m[0, 0] += 1e-6
-    assert not is_unitary(m, tol=1e-12)
-
-
-def test_is_unitary_rejects_non_square():
-    with pytest.raises(ValueError, match="square"):
-        is_unitary(np.ones((2, 3)))
-
-
-def test_hermitian_eig_diagonal():
-    values, vectors = hermitian_eig(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(values, [1.0, 2.0, 3.0])
-    assert np.allclose(np.abs(vectors), np.eye(3))
-
-
-def test_hermitian_eig_exchange_matrix():
-    values, _ = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(values, [-1.0, 1.0])
-
-
-def test_hermitian_eig_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        m = random_hermitian(rng, 12)
-        values, vectors = hermitian_eig(m)
-        assert np.all(np.diff(values) >= -1e-12)
-        assert np.abs(vectors.conj().T @ vectors - np.eye(12)).max() < 1e-10
-        rebuilt = (vectors * values) @ vectors.conj().T
-        assert np.abs(rebuilt - m).max() < 1e-9
-
-
-def test_hermitian_eig_rejects_non_hermitian():
+def test_psd_sqrt_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_psd_sqrt_identity():

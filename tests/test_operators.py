@@ -8,11 +8,8 @@ import pytest
 from qwalk.graphs import build_graph, cycle_graph, path_graph, standard_family, star_graph
 from qwalk.operators import (
     WalkSpec,
-    coin_operator,
-    grover_diffusion,
     receiver_state,
     sender_state,
-    shift_operator,
     walk_spec,
     walk_step,
     walk_unitary,
@@ -20,7 +17,14 @@ from qwalk.operators import (
 from qwalk.scenarios import case_study_scenarios, scenario_graph
 
 from .goldens import CASE_SPECS, FAMILY_BUILDERS, GOLDEN_COINS, GOLDEN_SHIFTS, PRINTED_COINS
-from .oracles import random_pure, random_simple_graph
+from .oracles import (
+    coin_operator,
+    dense_walk_operators,
+    grover_diffusion,
+    random_pure,
+    random_simple_graph,
+    shift_operator,
+)
 
 
 def case_walk_spec(family: str, s: int, r: int):
@@ -49,8 +53,9 @@ def test_grover_diffusion_is_involution():
 
 @pytest.mark.parametrize("family,s,r", CASE_SPECS)
 def test_coin_matches_golden(family, s, r):
-    coin = coin_operator(case_walk_spec(family, s, r))
-    assert np.abs(coin - GOLDEN_COINS[(family, s, r)]).max() < 1e-6
+    spec = case_walk_spec(family, s, r)
+    for coin in (coin_operator(spec), walk_unitary(spec).coin):
+        assert np.abs(coin - GOLDEN_COINS[(family, s, r)]).max() < 1e-6
 
 
 @pytest.mark.parametrize("family,s,r", sorted(PRINTED_COINS))
@@ -64,18 +69,20 @@ def test_printed_coins_transcribed(family, s, r):
 @pytest.mark.parametrize("family", sorted(GOLDEN_SHIFTS))
 def test_shift_matches_golden(family):
     kind, size = FAMILY_BUILDERS[family]
-    space = walk_spec(standard_family(kind, *size), 0, 0).space
-    assert np.array_equal(shift_operator(space), GOLDEN_SHIFTS[family])
+    spec = walk_spec(standard_family(kind, *size), 0, 0)
+    assert np.array_equal(shift_operator(spec.space), GOLDEN_SHIFTS[family])
+    assert np.array_equal(walk_unitary(spec).shift, GOLDEN_SHIFTS[family])
 
 
 def test_coin_is_symmetric_under_sender_receiver_swap():
     g = star_graph(6)
-    assert np.array_equal(coin_operator(walk_spec(g, 0, 1)), coin_operator(walk_spec(g, 1, 0)))
+    coins = [walk_unitary(walk_spec(g, s, r)).coin for s, r in ((0, 1), (1, 0))]
+    assert np.array_equal(*coins)
 
 
 def test_periodicity_negates_block_once():
     # sender == receiver negates that vertex's block exactly once
-    coin = coin_operator(walk_spec(path_graph(5), 0, 0))
+    coin = walk_unitary(walk_spec(path_graph(5), 0, 0)).coin
     assert coin[0, 0] == -1.0
     assert coin[7, 7] == 1.0
 
@@ -87,7 +94,7 @@ def test_coin_blocks_follow_diffusion_formula():
         g = build_graph(n, random_simple_graph(rng, n))
         s, r = int(rng.integers(0, n)), int(rng.integers(0, n))
         spec = walk_spec(g, s, r)
-        coin = coin_operator(spec)
+        coin = walk_unitary(spec).coin
         for v in range(n):
             start, stop = spec.space.starts[v], spec.space.starts[v + 1]
             d = g.degrees[v]
@@ -105,9 +112,9 @@ def test_shift_squares_to_identity():
     rng = np.random.default_rng(22)
     for _ in range(10):
         n = int(rng.integers(2, 9))
-        space = walk_spec(build_graph(n, random_simple_graph(rng, n)), 0, 0).space
-        shift = shift_operator(space)
-        assert np.array_equal(shift @ shift, np.eye(space.dim))
+        spec = walk_spec(build_graph(n, random_simple_graph(rng, n)), 0, 0)
+        shift = walk_unitary(spec).shift
+        assert np.array_equal(shift @ shift, np.eye(spec.space.dim))
 
 
 @pytest.mark.parametrize("family,s,r", CASE_SPECS)
@@ -119,6 +126,44 @@ def test_walk_unitary_invariants(family, s, r):
     assert np.abs(ops.unitary.conj().T @ ops.unitary - eye).max() < 1e-12
     assert np.isrealobj(ops.unitary)
     assert np.array_equal(ops.unitary, ops.shift @ ops.coin)
+
+
+def _faulty_steps():
+    """Per check of ``walk_unitary``: a ``walk_step`` stand-in and a spec that fail it.
+
+    On C6 (marks 0 and 3) the arcs 2 and 3 form vertex 1's unmarked block.
+    """
+    spec = case_walk_spec("c6", 0, 3)
+    real = walk_step(spec)
+    swap = np.arange(spec.space.dim)
+    swap[[2, 3]] = [3, 2]
+    # arc reversal after a swap inside one block: a permutation, not an involution
+    mixed = replace(spec, space=replace(spec.space, reverse_of=spec.space.reverse_of[swap]))
+    dense = dense_walk_operators(spec)
+    skewed = dense.coin.copy()
+    skewed[2:4, 2:4] = [[1.0, 1.0], [0.0, -1.0]]  # an involution, not orthogonal
+    return {
+        "coin": (lambda _: replace(real, sign_after=2.0 * real.sign_after), spec),
+        "shift": (lambda _: real, mixed),
+        "step": (lambda _: lambda psi: dense.shift @ (skewed @ psi), spec),
+    }
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("coin", "coin operator is not an involution"),
+        ("shift", "shift operator is not an involution"),
+        ("step", "step operator is not unitary"),
+    ],
+)
+def test_walk_unitary_checks_the_materialised_step(monkeypatch, fault, message):
+    import qwalk.operators
+
+    faulty_step, spec = _faulty_steps()[fault]
+    monkeypatch.setattr(qwalk.operators, "walk_step", faulty_step)
+    with pytest.raises(RuntimeError, match=message):
+        walk_unitary(spec)
 
 
 def test_walk_unitary_dimensions():
@@ -228,7 +273,7 @@ def test_walk_step_matches_dense_unitary_at_every_step():
     rng = np.random.default_rng(32)
     for name, spec in specs:
         step = walk_step(spec)
-        unitary = walk_unitary(spec).unitary
+        unitary = dense_walk_operators(spec).unitary
         for psi0 in (sender_state(spec), random_pure(rng, spec.space.dim)):
             free, dense = psi0, psi0
             for t in range(1, 61):

@@ -1,9 +1,10 @@
 """Property tests on random graphs and fuzzed scenario input.
 
-The array graph layer is checked against the reference, the matrix-free
-step against the dense unitary, and the scenario parsers and runner against
-their contracts (only ``ValueError`` on bad input, fidelities in [0, 1], a
-state norm within 1e-10 of 1 after 10^4 steps).
+The array graph layer is checked against the reference; the matrix-free
+step, and ``walk_unitary`` bitwise (signs of zero included), against the
+dense Grover assembly; and the scenario parsers and runner against their
+contracts (only ``ValueError`` on bad input, fidelities in [0, 1], a state
+norm within 1e-10 of 1 after 10^4 steps).
 
 Every property runs derandomized (the examples are a function of the test
 alone) and without the example database, so a run is reproducible.
@@ -32,7 +33,13 @@ from qwalk.scenarios import (
     scenario_from_mapping,
 )
 
-from .oracles import arcs, random_pure, reference_edge_space, reference_graph
+from .oracles import (
+    arcs,
+    dense_walk_operators,
+    random_pure,
+    reference_edge_space,
+    reference_graph,
+)
 
 
 def _settings(max_examples: int):
@@ -130,7 +137,13 @@ def test_walk_step_matches_dense_unitary_on_random_graphs(graph_input, data):
     sender = data.draw(st.integers(0, n - 1), label="sender")
     receiver = data.draw(st.integers(0, n - 1), label="receiver")
     spec = walk_spec(build_graph(n, edges), sender, receiver)
-    step, unitary = walk_step(spec), walk_unitary(spec).unitary
+    step, dense = walk_step(spec), dense_walk_operators(spec)
+    ops = walk_unitary(spec)
+    for name in ("coin", "shift", "unitary"):
+        got, expected = getattr(ops, name), getattr(dense, name)
+        assert np.array_equal(got, expected), name
+        assert np.array_equal(np.signbit(got), np.signbit(expected)), name
+    unitary = dense.unitary
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     free = dense = random_pure(rng, spec.space.dim)
     for t in range(1, 21):

@@ -9,7 +9,7 @@ import pytest
 from qwalk.channels import _kernel_series, oun_channel, rtn_channel
 from qwalk.fidelity import fidelity_density
 from qwalk.graphs import path_graph
-from qwalk.operators import receiver_state, sender_state, walk_spec, walk_unitary
+from qwalk.operators import receiver_state, sender_state, walk_spec
 from qwalk.scenarios import (
     MAX_STEPS,
     FidelitySeries,
@@ -27,6 +27,7 @@ from qwalk.scenarios import (
 from .oracles import (
     dense_apply_channel,
     dense_kraus_set,
+    dense_walk_operators,
     random_simple_graph,
     stepwise_series,
     support_block_fidelity,
@@ -225,7 +226,7 @@ def test_noisy_series_matches_dense_channel_at_every_step(tmp_path):
     for name, sc in cases:
         series = run_scenario(sc)
         spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
-        ops = walk_unitary(spec)
+        ops = dense_walk_operators(spec)
         psi = sender_state(spec)
         target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
         sigma = np.outer(target, target.conj())
