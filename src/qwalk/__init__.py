@@ -17,7 +17,6 @@ from .channels import (
     rtn_channel,
     rtn_kernel,
 )
-from .evolution import evolve_pure
 from .fidelity import fidelity_density, fidelity_pure, fidelity_pure_target
 from .graphs import (
     DirectedEdgeSpace,
@@ -36,6 +35,7 @@ from .operators import (
     WalkOperators,
     WalkSpec,
     WalkStep,
+    evolve_pure,
     receiver_state,
     sender_state,
     walk_spec,

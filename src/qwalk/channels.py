@@ -8,9 +8,11 @@ Two noise families are provided, both with a two-element Kraus set
 where ``I`` and ``Z`` are the Weyl operators ``W(0, 0)`` and ``W(1, 0)`` in the
 walk's dimension and the memory kernel ``kappa`` is either the
 damped-oscillatory random-telegraph kernel or the monotone modified
-Ornstein-Uhlenbeck kernel. Both Kraus operators are diagonal, so the
-channels dephase edge-basis coherences while leaving populations untouched,
-and a :class:`KrausSet` stores each operator as its diagonal.
+Ornstein-Uhlenbeck kernel, both defined only in :class:`NoiseChannel` (the
+public :func:`rtn_kernel` and :func:`oun_kernel` go through it). Both Kraus
+operators are diagonal, so the channels dephase edge-basis coherences while
+leaving populations untouched, and a :class:`KrausSet` stores each operator
+as its diagonal.
 
 For a pure state ``psi`` and a pure target ``phi`` the channel output's
 fidelity therefore has the closed form
@@ -67,29 +69,6 @@ def _check_parameters(**params: float) -> None:
         raise ValueError(f"parameters must be finite and positive, got {shown}")
 
 
-def _rtn_value(t: float, a: float, gamma: float) -> float:
-    """The random-telegraph formula for parameters already checked."""
-    ratio = 2.0 * a / gamma
-    nu = math.sqrt(ratio**2 - 1.0) if ratio < 1e150 else math.inf  # ratio**2 would overflow
-    phase = nu * gamma * t
-    if not math.isfinite(phase):
-        raise ValueError(
-            f"unsupported regime: a/gamma = {a / gamma:.6g} overflows the phase at t={t}"
-        )
-    return math.exp(-gamma * t) * (math.cos(phase) + math.sin(phase) / nu)
-
-
-def _oun_value(t: float, lam: float, gamma: float) -> float:
-    """The Ornstein-Uhlenbeck formula for parameters already checked."""
-    # The exponent is <= 0; at gamma t < 1e-8 round-off can make it positive (kernel > 1).
-    return math.exp(min(0.0, -(lam / 2.0) * (t + (math.exp(-gamma * t) - 1.0) / gamma)))
-
-
-def _check_time(t: float) -> None:
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-
-
 def rtn_kernel(t: float, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> float:
     """Damped-oscillatory random-telegraph memory kernel.
 
@@ -97,14 +76,7 @@ def rtn_kernel(t: float, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GA
     ``nu = sqrt((2 a / gamma)^2 - 1)``. Defined only in the oscillatory
     regime ``a / gamma > 0.5`` where ``nu`` is real; equals 1 at ``t = 0``.
     """
-    _check_time(t)
-    _check_parameters(a=a, gamma=gamma)
-    if 2.0 * a / gamma <= 1.0:
-        raise ValueError(
-            f"unsupported regime: a/gamma = {a / gamma:.6g} <= 0.5 makes the "
-            "oscillation frequency imaginary"
-        )
-    return _rtn_value(t, a, gamma)
+    return rtn_channel(1, a, gamma).kernel(t)
 
 
 def oun_kernel(t: float, lam: float = OUN_DEFAULT_LAMBDA, gamma: float = OUN_DEFAULT_GAMMA) -> float:
@@ -113,19 +85,18 @@ def oun_kernel(t: float, lam: float = OUN_DEFAULT_LAMBDA, gamma: float = OUN_DEF
     ``exp(-(lam / 2) (t + (exp(-gamma t) - 1) / gamma))``: equals 1 at
     ``t = 0`` and decreases strictly for ``t > 0``.
     """
-    _check_time(t)
-    _check_parameters(lam=lam, gamma=gamma)
-    return _oun_value(t, lam, gamma)
+    return oun_channel(1, lam, gamma).kernel(t)
 
 
 @dataclass(frozen=True)
 class NoiseChannel:
     """Time-parameterized generator of Kraus sets in a fixed dimension.
 
-    Use :func:`rtn_channel` or :func:`oun_channel` to construct one; the
-    parameter fields not belonging to ``kind`` stay ``None``. The dimension,
-    the parameters and (for ``rtn``) the oscillatory regime are checked once,
-    on construction, so :meth:`kernel` checks only its time argument.
+    The one home of the kernel ``kappa(t)`` (:meth:`kernel`) and of the checks on
+    its parameters. Build one with :func:`rtn_channel` or :func:`oun_channel`; the
+    parameter fields not belonging to ``kind`` stay ``None``. The dimension, the
+    parameters and (for ``rtn``) the regime and the phase at ``t = 0`` are checked
+    once, on construction, so :meth:`kernel` checks only ``t`` (and the ``rtn`` phase).
     """
 
     kind: str  # "rtn" | "oun"
@@ -138,17 +109,34 @@ class NoiseChannel:
         if self.dim < 1:
             raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.kind == "rtn":
-            rtn_kernel(0.0, self.a, self.gamma)  # rejects what every later evaluation would
+            _check_parameters(a=self.a, gamma=self.gamma)
+            if 2.0 * self.a / self.gamma <= 1.0:
+                raise ValueError(
+                    f"unsupported regime: a/gamma = {self.a / self.gamma:.6g} <= 0.5 makes the "
+                    "oscillation frequency imaginary"
+                )
+            self.kernel(0.0)  # a phase overflowing at t = 0 overflows at every t
         elif self.kind == "oun":
             _check_parameters(lam=self.lam, gamma=self.gamma)
         else:
             raise ValueError(f"noise kind must be 'rtn' or 'oun', got {self.kind!r}")
 
     def kernel(self, t: float) -> float:
-        _check_time(t)
+        """``kappa(t)`` for ``t >= 0``, from the scalar ``math`` formula of ``kind``."""
+        if t < 0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        a, lam, gamma = self.a, self.lam, self.gamma
         if self.kind == "rtn":
-            return _rtn_value(t, self.a, self.gamma)
-        return _oun_value(t, self.lam, self.gamma)
+            ratio = 2.0 * a / gamma
+            nu = math.sqrt(ratio**2 - 1.0) if ratio < 1e150 else math.inf  # ratio**2 would overflow
+            phase = nu * gamma * t
+            if not math.isfinite(phase):
+                raise ValueError(
+                    f"unsupported regime: a/gamma = {a / gamma:.6g} overflows the phase at t={t}"
+                )
+            return math.exp(-gamma * t) * (math.cos(phase) + math.sin(phase) / nu)
+        # The exponent is <= 0; at gamma t < 1e-8 round-off can make it positive (kernel > 1).
+        return math.exp(min(0.0, -(lam / 2.0) * (t + (math.exp(-gamma * t) - 1.0) / gamma)))
 
 
 def rtn_channel(dim: int, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> NoiseChannel:

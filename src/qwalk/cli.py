@@ -1,7 +1,8 @@
 """Command-line interface: run scenarios, the bundled suite, operator dumps.
 
 Exit codes: 0 on success, 2 for invalid input or an I/O failure, 3 for an
-internal error (a failed numerical cross-check or operator invariant).
+internal error (a failed numerical cross-check or operator invariant, or any
+other exception). Every error is one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -162,6 +163,10 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         # A failed cross-check or operator invariant: a defect, not bad input.
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # any other defect (MemoryError included): one line, exit 3
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
         return 3
 
 

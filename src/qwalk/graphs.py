@@ -158,10 +158,26 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n=n, edges=canonical, degrees=degrees)
 
 
+# A run on a family graph peaks near 130-150 bytes of RSS per arc (noiseless
+# cycles of 1e5 and 1e6 vertices), so this many arcs need about 1.3 GB; a
+# family is refused above it before its edge list is built. Graph files stay
+# uncapped: their memory is proportional to the file itself.
+MAX_FAMILY_ARCS = 10**7
+
+
+def _check_family_arcs(family: str, arcs: int) -> None:
+    if arcs > MAX_FAMILY_ARCS:
+        raise ValueError(
+            f"{family} graph of this size has {arcs} arcs; "
+            f"graph families are built up to {MAX_FAMILY_ARCS}"
+        )
+
+
 def path_graph(n: int) -> Graph:
     """Path on ``n >= 2`` vertices with edges ``(i, i+1)``."""
     if n < 2:
         raise ValueError(f"path graph needs n >= 2, got {n}")
+    _check_family_arcs("path", 2 * (n - 1))
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -169,6 +185,7 @@ def cycle_graph(n: int) -> Graph:
     """Cycle on ``n >= 3`` vertices: the path plus the closing edge."""
     if n < 3:
         raise ValueError(f"cycle graph needs n >= 3, got {n}")
+    _check_family_arcs("cycle", 2 * n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)])
 
 
@@ -176,6 +193,7 @@ def star_graph(n: int) -> Graph:
     """Star on ``n >= 2`` vertices: centre 0 adjacent to all others."""
     if n < 2:
         raise ValueError(f"star graph needs n >= 2, got {n}")
+    _check_family_arcs("star", 2 * (n - 1))
     return build_graph(n, [(0, i) for i in range(1, n)])
 
 
@@ -187,6 +205,7 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     """
     if a < 1 or b < 1:
         raise ValueError(f"complete bipartite graph needs both parts >= 1, got ({a}, {b})")
+    _check_family_arcs("complete bipartite", 2 * a * b)
     return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 

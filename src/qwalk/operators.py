@@ -8,7 +8,8 @@ edge, and one walk step is ``shift @ coin``.
 
 :func:`walk_step` is the one definition of that step: it applies it
 matrix-free in ``O(2m)``, with one block sum (``np.add.reduceat``) and two
-gathers over ``O(dim)`` index arrays. It is what the runner iterates.
+gathers over ``O(dim)`` index arrays. The runner iterates it, as
+:func:`evolve_pure` does on a given state.
 :func:`walk_unitary` materialises it for ``dump-operators``: the step
 applied to every basis arc gives the dense ``dim x dim`` step, from which
 the shift and the coin follow. The tests check both against the
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fidelity import _check_pure
 from .graphs import DirectedEdgeSpace, Graph, edge_space
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "walk_spec",
     "walk_unitary",
     "walk_step",
+    "evolve_pure",
     "sender_state",
     "receiver_state",
 ]
@@ -157,6 +160,18 @@ def walk_step(spec: WalkSpec) -> WalkStep:
     if abs(float(np.linalg.norm(step(probe))) - 1.0) > UNITARY_ATOL:
         raise RuntimeError("step operator is not norm-preserving")
     return step
+
+
+def evolve_pure(step: WalkStep, psi0, t: int) -> np.ndarray:
+    """Apply the walk step ``t`` times to a normalized state."""
+    if t < 0:
+        raise ValueError(f"step count must be nonnegative, got {t}")
+    psi = _check_pure(psi0, "psi")
+    if psi.shape != (step.dim,):
+        raise ValueError(f"state has shape {psi.shape}, expected ({step.dim},)")
+    for _ in range(t):
+        psi = step(psi)
+    return psi
 
 
 def walk_unitary(spec: WalkSpec) -> WalkOperators:

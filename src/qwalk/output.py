@@ -43,7 +43,7 @@ def write_matrix_csv(matrix, path: str | Path) -> None:
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {matrix.shape}")
-    lines = [",".join(f"{value:.6f}" for value in row) for row in matrix]
+    lines = [",".join(f"{value:.6f}" for value in row) for row in matrix.tolist()]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

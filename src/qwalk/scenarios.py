@@ -29,9 +29,7 @@ from .channels import (
     flipped_overlap,
     kraus_set,
     oun_channel,
-    oun_kernel,
     rtn_channel,
-    rtn_kernel,
 )
 from .fidelity import NORM_ATOL, clamp_fidelity
 from .graphs import Graph, load_graph_file, standard_family
@@ -111,13 +109,10 @@ class Scenario:
             for label, v in (("sender", self.sender), ("receiver", self.receiver)):
                 if not 0 <= v < n:
                     raise ValueError(f"{label} vertex {v} outside 0..{n - 1}")
-        # Kernels at both ends of the horizon reject bad noise parameters (say
-        # a/gamma <= 0.5, or an RTN phase overflowing by the end) before any graph.
-        for t in (0.0, float(self.steps)):
-            if self.noise == "rtn":
-                rtn_kernel(t, self.rtn_a, self.rtn_gamma)
-            elif self.noise == "oun":
-                oun_kernel(t, self.oun_lambda, self.oun_gamma)
+        # The run's kappa at the horizon rejects bad noise parameters (say a/gamma
+        # <= 0.5, or an RTN phase overflowing by the end) before any graph is built.
+        if self.noise != "none":
+            _channel(self, self.noise, 1).kernel(float(self.steps))
 
 
 # The flat keys a config file or command line may set: the Scenario fields.
@@ -223,12 +218,12 @@ def run_scenario(sc: Scenario) -> FidelitySeries:
     The pass (:func:`_walk`) iterates the ``O(2m)`` matrix-free step, recording
     ``kept[t] = |<target|psi_t>|^2`` and, with noise, ``flipped[t] = |<target|Z
     psi_t>|^2`` and, every ``_CROSS_CHECK_STRIDE`` steps, the noisy fidelity as
-    the Kraus sum on ``supp(target)`` (:func:`_dense_fidelity`): one ``O(|S|)``
-    float per check, so a run's memory grows with ``steps`` only through its
-    ``O(T)`` series. The combine step (:func:`_combine`) clamps ``kept`` into
-    the noiseless series, mixes both with ``kappa(t)`` into the noisy one
-    (:func:`~qwalk.channels.dephased_series`) and compares it with those
-    floats. A norm drift ``|‖psi_T‖ - 1|`` beyond ``NORM_ATOL`` or a
+    the Kraus sum on ``supp(target)`` (:func:`_dense_fidelity`): one float per
+    check, costing ``O(dim) + O(|S|)``, so a run's memory grows with ``steps``
+    only through its ``O(T)`` series. The combine step (:func:`_combine`) clamps
+    ``kept`` into the noiseless series, mixes both with ``kappa(t)`` into the
+    noisy one (:func:`~qwalk.channels.dephased_series`) and compares it with
+    those floats. A norm drift ``|‖psi_T‖ - 1|`` beyond ``NORM_ATOL`` or a
     difference beyond ``_CROSS_CHECK_ATOL`` raises ``RuntimeError``.
     """
     return _combine(sc, *_walk(sc, () if sc.noise == "none" else (sc.noise,)))
@@ -239,10 +234,12 @@ def _dense_fidelity(channel: NoiseChannel, t: int, a: np.ndarray, support: np.nd
     """The noisy fidelity as the Kraus sum on ``S = supp(target)``.
 
     ``<phi|E_t(|psi><psi|)|phi> = sum_i |<phi|K_i psi>|^2``, and with diagonal
-    ``K_i`` only ``a = psi_S`` and ``phi = phi_S`` enter: ``O(|S|)`` per check,
-    ``|S|`` the receiver's (in-)degree. It stays independent of the closed form's
-    kernel series and mix: the diagonals come from :func:`~qwalk.channels.kraus_set`,
-    with its scalar kernel and completeness check.
+    ``K_i`` only ``a = psi_S`` and ``phi = phi_S`` enter the sum, ``O(|S|)`` with
+    ``|S|`` the receiver's (in-)degree. :func:`~qwalk.channels.kraus_set` builds both
+    length-``dim`` diagonals and checks their completeness, so a check costs
+    ``O(dim) + O(|S|)``: the order of one step, once every ``_CROSS_CHECK_STRIDE``.
+    It stays independent of the closed form's kernel series and mix: the diagonals
+    come from ``kraus_set``, with its scalar kernel and completeness check.
     """
     return sum(abs(np.vdot(phi, k[support] * a)) ** 2 for k in kraus_set(channel, t).operators)
 

@@ -19,9 +19,10 @@ loop that the runner's single overlap pass and combine step replaced.
 ``support_block_fidelity`` is the runner's former stride-25 cross-check: the
 channel applied to the ``|S| x |S|`` block of ``S = supp(target)`` and the
 general density formula, which the runner's ``O(|S|)`` Kraus sum replaced.
-``reference_write_csv`` and ``reference_render_svg`` are the writers as they
-were before they formatted from ``tolist()`` and numpy coordinate arrays:
-one numpy scalar at a time, the title escaped by ``xml.sax.saxutils``.
+``reference_write_csv``, ``reference_render_svg`` and
+``reference_write_matrix_csv`` are the writers as they were before they
+formatted from ``tolist()`` and numpy coordinate arrays: one numpy scalar at
+a time, the title escaped by ``xml.sax.saxutils``.
 """
 
 from __future__ import annotations
@@ -410,6 +411,15 @@ def reference_write_csv(series: FidelitySeries, path) -> None:
     for t, value in enumerate(series.noiseless):
         noisy = _fmt(series.noisy[t]) if series.noisy is not None else ""
         lines.append(f"{t},{_fmt(value)},{noisy}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+
+
+def reference_write_matrix_csv(matrix, path: str | Path) -> None:
+    """``qwalk.output.write_matrix_csv`` formatting one numpy scalar per entry."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {matrix.shape}")
+    lines = [",".join(f"{value:.6f}" for value in row) for row in matrix]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

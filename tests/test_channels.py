@@ -127,6 +127,13 @@ def test_rtn_kernel_rejects_bad_arguments():
         rtn_kernel(1.0, a=-0.1)
 
 
+def test_public_kernels_report_a_bad_parameter_before_a_bad_time():
+    with pytest.raises(ValueError, match="finite and positive"):
+        rtn_kernel(-1.0, a=-0.1)
+    with pytest.raises(ValueError, match="finite and positive"):
+        oun_kernel(-1.0, gamma=0.0)
+
+
 def test_oun_kernel_values():
     assert oun_kernel(0.0) == 1.0
     assert math.isclose(oun_kernel(1.0), OUN_AT_1, rel_tol=1e-14)
@@ -239,6 +246,15 @@ def test_rtn_kernel_rejects_overflowing_phase():
     ):
         with pytest.raises(ValueError, match="overflows the phase"):
             rtn_kernel(t, a, gamma)
+
+
+def test_rtn_channel_rejects_a_phase_overflowing_at_t0_on_construction():
+    for a, gamma in ((1e200, 1.0), (1e308, 1.0)):
+        with pytest.raises(ValueError, match="overflows the phase at t=0.0"):
+            rtn_channel(4, a, gamma)
+    channel = rtn_channel(4, 1e300, 1e160)  # finite at t = 0, overflowing later
+    with pytest.raises(ValueError, match="overflows the phase at t=1000000000.0"):
+        channel.kernel(1e9)
 
 
 def test_oun_kernel_stays_in_unit_interval_at_tiny_gamma_t():

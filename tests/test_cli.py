@@ -449,3 +449,71 @@ def test_dump_operators_rejects_dims_above_dense_limit_before_assembly(
     # at the limit itself the guard passes and assembly is reached
     assert main(argv + ["--size", str(qwalk.cli.DUMP_MAX_DIM // 2)]) == 3
     assert f"assembly reached at dim {qwalk.cli.DUMP_MAX_DIM}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family, size, arcs", [
+    ("path", str(10**13), 2 * (10**13 - 1)),
+    ("kab", f"{10**7},{10**7}", 2 * 10**14),
+])
+def test_run_refuses_an_oversized_family_before_building_it(tmp_path, capsys, monkeypatch,
+                                                            family, size, arcs):
+    import qwalk.graphs
+
+    def unreachable(*args):
+        raise AssertionError("the edge list was built before the arc count was checked")
+
+    monkeypatch.setattr(qwalk.graphs, "build_graph", unreachable)
+    code = main(
+        [
+            "run", "--graph", family, "--size", size, "--sender", "0", "--receiver", "1",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and f"has {arcs} arcs" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("exc", [TypeError("unsupported operand\ntype"), MemoryError("out of memory")])
+def test_run_reports_any_other_exception_as_an_internal_error(tmp_path, capsys, monkeypatch, exc):
+    import qwalk.cli
+
+    def failing(scenario):
+        raise exc
+
+    monkeypatch.setattr(qwalk.cli, "run_scenario", failing)
+    code = main(
+        [
+            "run", "--graph", "path", "--size", "5", "--sender", "0", "--receiver", "4",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err == f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_checks_the_rtn_phase_at_the_horizon_before_building(tmp_path, capsys, monkeypatch):
+    import qwalk.scenarios
+
+    argv = ["run", "--graph", "path", "--size", "5", "--sender", "0", "--receiver", "4",
+            "--noise", "rtn", "--rtn-a", "1e305", "--rtn-gamma", "1e160"]
+    real = qwalk.scenarios.scenario_graph
+
+    def unreachable(*args):
+        raise AssertionError("the graph was built before the horizon was checked")
+
+    monkeypatch.setattr(qwalk.scenarios, "scenario_graph", unreachable)
+    # nu * gamma = 2e305 is finite; times 10000 steps the phase overflows
+    assert main(argv + ["--steps", "10000", "--out", str(tmp_path / "long")]) == 2
+    assert capsys.readouterr().err == (
+        "error: unsupported regime: a/gamma = 1e+145 overflows the phase at t=10000.0\n"
+    )
+    assert not list(tmp_path.iterdir())
+    monkeypatch.setattr(qwalk.scenarios, "scenario_graph", real)
+    assert main(argv + ["--steps", "100", "--out", str(tmp_path / "short")]) == 0
+    assert len(list((tmp_path / "short").iterdir())) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qwalk.channels import oun_channel, rtn_channel
-from qwalk.evolution import evolve_pure
+from qwalk.operators import evolve_pure
 from qwalk.fidelity import fidelity_pure, fidelity_pure_target
 from qwalk.graphs import complete_bipartite_graph, cycle_graph, path_graph, star_graph
 from qwalk.operators import receiver_state, sender_state, walk_spec, walk_step

@@ -117,6 +117,34 @@ def test_family_size_below_minimum(kind, params):
         standard_family(kind, *params)
 
 
+@pytest.mark.parametrize(
+    "kind,at_limit,over",
+    [("path", (13,), (14,)), ("cycle", (12,), (13,)), ("star", (13,), (14,)),
+     ("kab", (3, 4), (5, 3))],
+)
+def test_family_arc_count_is_capped_before_the_edge_list(monkeypatch, kind, at_limit, over):
+    import qwalk.graphs
+
+    monkeypatch.setattr(qwalk.graphs, "MAX_FAMILY_ARCS", 24)
+    assert edge_space(standard_family(kind, *at_limit)).dim == 24
+    monkeypatch.setattr(qwalk.graphs, "build_graph", _unreachable_build)
+    with pytest.raises(ValueError, match="arcs; graph families are built up to 24"):
+        standard_family(kind, *over)
+
+
+def _unreachable_build(*args):
+    raise AssertionError("the edge list was built before the arc count was checked")
+
+
+def test_oversized_family_raises_without_building(monkeypatch):
+    import qwalk
+    import qwalk.graphs
+
+    monkeypatch.setattr(qwalk.graphs, "build_graph", _unreachable_build)
+    with pytest.raises(ValueError, match="path graph of this size has 19999999999998 arcs"):
+        qwalk.path_graph(10**13)
+
+
 def test_unknown_family():
     with pytest.raises(ValueError, match="unknown graph family"):
         standard_family("torus", 4)

@@ -5,10 +5,17 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from qwalk.graphs import build_graph, cycle_graph, path_graph
+from qwalk.operators import walk_spec, walk_unitary
 from qwalk.output import render_svg, write_csv, write_matrix_csv
 from qwalk.scenarios import FidelitySeries, Scenario, paper_suite, run_scenario
 
-from .oracles import reference_render_svg, reference_write_csv
+from .oracles import (
+    random_simple_graph,
+    reference_render_svg,
+    reference_write_csv,
+    reference_write_matrix_csv,
+)
 
 
 def read_rows(path):
@@ -116,6 +123,23 @@ def test_matrix_csv_format(tmp_path):
 def test_matrix_csv_rejects_non_matrix(tmp_path):
     with pytest.raises(ValueError, match="matrix"):
         write_matrix_csv(np.ones(4), tmp_path / "x.csv")
+
+
+def test_matrix_csv_matches_the_per_element_writer_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(52)
+    n = 9
+    specs = [walk_spec(cycle_graph(6), 0, 3), walk_spec(path_graph(5), 0, 4),
+             walk_spec(build_graph(n, random_simple_graph(rng, n)), 0, n - 1)]
+    negative_zeros = 0
+    for spec in specs:
+        ops = walk_unitary(spec)
+        for matrix in (ops.coin, ops.shift, ops.unitary):
+            write_matrix_csv(matrix, tmp_path / "new.csv")
+            reference_write_matrix_csv(matrix, tmp_path / "old.csv")
+            new = (tmp_path / "new.csv").read_bytes()
+            assert new == (tmp_path / "old.csv").read_bytes()
+            negative_zeros += new.count(b"-0.000000")
+    assert negative_zeros > 0  # the signed zeros of C6 0->3 are printed as before
 
 
 def _boundary_values(n: int) -> np.ndarray:

