@@ -80,8 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# dump-operators materialises the step on every basis arc into three dense
-# dim x dim float64 matrices (32 MiB each at this limit) and checks them in
+# dump-operators applies the step to the dim x dim identity block, giving three
+# dense float64 matrices (32 MiB each at this limit), and checks them in
 # O(dim^3); larger walks are refused.
 DUMP_MAX_DIM = 2048
 

@@ -113,7 +113,8 @@ def build_graph(n: int, edges) -> Graph:
     n : int
         Vertex count, at least 2.
     edges : iterable of (int, int)
-        Undirected edges. Duplicates (in either orientation) are dropped.
+        Undirected edges. Duplicates (in either orientation) are dropped. An
+        ``(m, 2)`` integer ``ndarray`` is used as given.
 
     Raises
     ------
@@ -125,7 +126,7 @@ def build_graph(n: int, edges) -> Graph:
     """
     if n < 2:
         raise ValueError(f"graph needs at least 2 vertices, got n={n}")
-    pairs = np.asarray(list(edges))
+    pairs = edges if isinstance(edges, np.ndarray) else np.asarray(list(edges))
     if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"):
         raise ValueError(f"edges must be integer pairs, got {pairs.dtype} of shape {pairs.shape}")
     # Range-check in the input dtype: a uint64 endpoint above 2**63 - 1 would wrap in intp.
@@ -178,7 +179,7 @@ def path_graph(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"path graph needs n >= 2, got {n}")
     _check_family_arcs("path", 2 * (n - 1))
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return build_graph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -186,7 +187,7 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle graph needs n >= 3, got {n}")
     _check_family_arcs("cycle", 2 * n)
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)])
+    return build_graph(n, np.column_stack((np.arange(n), np.arange(1, n + 1) % n)))
 
 
 def star_graph(n: int) -> Graph:
@@ -194,7 +195,7 @@ def star_graph(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"star graph needs n >= 2, got {n}")
     _check_family_arcs("star", 2 * (n - 1))
-    return build_graph(n, [(0, i) for i in range(1, n)])
+    return build_graph(n, np.column_stack((np.zeros(n - 1, dtype=np.intp), np.arange(1, n))))
 
 
 def complete_bipartite_graph(a: int, b: int) -> Graph:
@@ -206,7 +207,8 @@ def complete_bipartite_graph(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"complete bipartite graph needs both parts >= 1, got ({a}, {b})")
     _check_family_arcs("complete bipartite", 2 * a * b)
-    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    parts = np.repeat(np.arange(a), b), np.tile(np.arange(a, a + b), a)
+    return build_graph(a + b, np.column_stack(parts))
 
 
 _FAMILIES = {

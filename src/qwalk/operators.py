@@ -6,14 +6,13 @@ negated (once each; a vertex that is both sender and receiver is negated
 exactly once). The shift is the permutation that reverses every directed
 edge, and one walk step is ``shift @ coin``.
 
-:func:`walk_step` is the one definition of that step: it applies it
-matrix-free in ``O(2m)``, with one block sum (``np.add.reduceat``) and two
-gathers over ``O(dim)`` index arrays. The runner iterates it, as
-:func:`evolve_pure` does on a given state.
-:func:`walk_unitary` materialises it for ``dump-operators``: the step
-applied to every basis arc gives the dense ``dim x dim`` step, from which
-the shift and the coin follow. The tests check both against the
-per-vertex Grover assembly in ``tests/oracles.py``.
+:func:`walk_step` is the one definition of that step, matrix-free in
+``O(2m)``: the coin in arc order (one ``np.add.reduceat`` block sum), then
+the shift as one gather by ``reverse_of``, on a state or a block of states.
+The runner iterates it, as :func:`evolve_pure` does on a given state;
+:func:`walk_unitary` applies it to the identity block for ``dump-operators``
+and reads the shift and the coin off the dense step. The tests check both
+against the per-vertex Grover assembly in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -86,30 +85,30 @@ class WalkOperators:
 
 @dataclass(frozen=True)
 class WalkStep:
-    """The step ``U = S @ C`` as ``O(dim)`` index arrays; call it on a state.
+    """The step ``U = S @ C`` as ``O(dim)`` index arrays; call it on a state or a block.
 
-    ``starts`` and ``two_over_degree`` hold, per vertex, the first index of
-    its outgoing-edge block and ``2 / deg``. The shift sends edge ``k`` to
-    ``reverse_of[k]``, so entry ``j`` of the new state is the coined
-    amplitude of edge ``gather[j] = reverse_of[j]``; ``block_after`` and
-    ``sign_after`` are the block id and coin sign of that edge. All arrays
-    are read-only; build instances with :func:`walk_step`.
+    The coin is held in arc order: per vertex, ``starts`` (the first index of
+    its outgoing-edge block) and ``two_over_degree`` (``2 / deg``); per arc,
+    ``block_of`` (the vertex that owns it) and ``sign`` (that vertex's coin
+    sign). The shift is one last gather: entry ``j`` of the new state is the
+    coined amplitude of arc ``reverse_of[j]``. All arrays are read-only;
+    build instances with :func:`walk_step`.
     """
 
     starts: np.ndarray
     two_over_degree: np.ndarray
-    gather: np.ndarray
-    block_after: np.ndarray
-    sign_after: np.ndarray
+    block_of: np.ndarray
+    sign: np.ndarray
+    reverse_of: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.gather)
+        return len(self.reverse_of)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        """``U @ psi`` in ``O(dim)``: ``sign * (2/deg * block_sum - psi)`` after the shift."""
-        block_means = np.add.reduceat(psi, self.starts) * self.two_over_degree
-        return self.sign_after * (block_means[self.block_after] - psi[self.gather])
+        """``U @ psi`` on a ``(dim,)`` state or a ``(dim, k)`` block (``.T`` puts arcs last)."""
+        block_means = (np.add.reduceat(psi, self.starts).T * self.two_over_degree).T
+        return (self.sign * (block_means[self.block_of] - psi).T).T[self.reverse_of]
 
 
 def walk_step(spec: WalkSpec) -> WalkStep:
@@ -148,11 +147,11 @@ def walk_step(spec: WalkSpec) -> WalkStep:
     step = WalkStep(
         starts=starts[:-1],
         two_over_degree=2.0 / degrees,
-        gather=reverse,
-        block_after=block_of[reverse],
-        sign_after=sign[block_of][reverse],
+        block_of=block_of,
+        sign=sign[block_of],
+        reverse_of=reverse,
     )
-    for a in (step.starts, step.two_over_degree, step.gather, step.block_after, step.sign_after):
+    for a in (step.starts, step.two_over_degree, step.block_of, step.sign, step.reverse_of):
         a.flags.writeable = False
 
     probe = np.arange(1.0, dim + 1.0)
@@ -177,14 +176,14 @@ def evolve_pure(step: WalkStep, psi0, t: int) -> np.ndarray:
 def walk_unitary(spec: WalkSpec) -> WalkOperators:
     """Materialise :func:`walk_step` as the dense coin, shift and step, and verify them.
 
-    Column ``k`` of ``U = S @ C`` is the step applied to basis arc ``k``;
-    ``S`` is the arc-reversal permutation and ``C = S @ U``. Costs
-    ``O(dim^2)`` memory and ``O(dim^3)`` time for the checks.
+    ``U = S @ C`` is the step applied to the identity block, column ``k`` to
+    basis arc ``k``; ``S`` is the arc-reversal permutation and ``C = S @ U``.
+    Costs ``O(dim^2)`` memory and ``O(dim^3)`` time for the checks.
     """
     step = walk_step(spec)
     eye = np.eye(spec.space.dim)
     reverse = spec.space.reverse_of
-    columns = np.array([step(e) for e in eye]).T
+    columns = step(eye)
     block_of = np.repeat(np.arange(spec.graph.n), spec.graph.degrees)
     # The step negates zeros into -0.0 around marked vertices, and the dumps
     # print %.6f: keep the signs of the per-vertex Grover assembly, whose only

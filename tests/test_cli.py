@@ -137,7 +137,7 @@ def test_dump_operators_reports_a_failed_operator_check_with_exit_three(
 
     def doubled_walk_step(spec):
         step = real_walk_step(spec)
-        return replace(step, sign_after=2.0 * step.sign_after)
+        return replace(step, sign=2.0 * step.sign)
 
     monkeypatch.setattr(qwalk.operators, "walk_step", doubled_walk_step)
     code = main(

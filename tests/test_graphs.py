@@ -108,6 +108,48 @@ def test_cycle_degrees():
     assert all(d == 2 for d in g.degrees)
 
 
+# Each family as a Python list of edge tuples: the edges its constructor
+# builds with np.arange, np.repeat and np.tile.
+_FAMILY_TUPLES = {
+    "path": lambda n: [(i, i + 1) for i in range(n - 1)],
+    "cycle": lambda n: [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)],
+    "star": lambda n: [(0, i) for i in range(1, n)],
+    "kab": lambda a, b: [(i, a + j) for i in range(a) for j in range(b)],
+}
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [("path", (2,)), ("path", (3,)), ("path", (9,)), ("cycle", (3,)), ("cycle", (4,)),
+     ("cycle", (10,)), ("star", (2,)), ("star", (3,)), ("star", (8,)), ("kab", (1, 1)),
+     ("kab", (1, 4)), ("kab", (2, 3)), ("kab", (3, 2)), ("kab", (4, 5))],
+)
+def test_family_equals_build_graph_of_its_tuple_list(kind, params):
+    g = standard_family(kind, *params)
+    assert g == build_graph(sum(params), _FAMILY_TUPLES[kind](*params))
+    assert g.edges.dtype == np.intp and g.degrees.dtype == np.intp
+
+
+def test_edge_array_and_its_tuple_list_give_equal_graphs():
+    rng = np.random.default_rng(5)
+    for n in (2, 5, 12, 40):
+        edges = random_simple_graph(rng, n)
+        array = np.array(edges, dtype=np.int64)
+        assert array.shape == (len(edges), 2)
+        assert build_graph(n, array) == build_graph(n, edges)
+        # reversed pairs and repeats, as a list would give them
+        doubled = np.concatenate((array, array[::-1, ::-1]))
+        assert build_graph(n, doubled) == build_graph(n, edges + [(v, u) for u, v in edges])
+    # an array fails with the message a list of the same pairs gets
+    for bad in ([(0, 1), (1, 1)], [(0, 1), (1, 3)]):
+        messages = []
+        for edges in (bad, np.array(bad)):
+            with pytest.raises(ValueError) as err:
+                build_graph(3, edges)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize(
     "kind,params",
     [("path", (1,)), ("cycle", (2,)), ("star", (1,)), ("kab", (0, 3))],

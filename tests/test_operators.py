@@ -143,7 +143,7 @@ def _faulty_steps():
     skewed = dense.coin.copy()
     skewed[2:4, 2:4] = [[1.0, 1.0], [0.0, -1.0]]  # an involution, not orthogonal
     return {
-        "coin": (lambda _: replace(real, sign_after=2.0 * real.sign_after), spec),
+        "coin": (lambda _: replace(real, sign=2.0 * real.sign), spec),
         "shift": (lambda _: real, mixed),
         "step": (lambda _: lambda psi: dense.shift @ (skewed @ psi), spec),
     }
@@ -164,6 +164,28 @@ def test_walk_unitary_checks_the_materialised_step(monkeypatch, fault, message):
     monkeypatch.setattr(qwalk.operators, "walk_step", faulty_step)
     with pytest.raises(RuntimeError, match=message):
         walk_unitary(spec)
+
+
+@pytest.mark.parametrize(
+    "kind,size,sender,receiver",
+    [("star", (200,), 1, 0), ("kab", (20, 30), 0, 21), ("cycle", (50,), 0, 25)],
+)
+def test_walk_step_on_large_blocks_equals_stepping_each_column(kind, size, sender, receiver):
+    # a hub block of 199 arcs, blocks of 20 and 30, and blocks of 2
+    step = walk_step(walk_spec(standard_family(kind, *size), sender, receiver))
+    rng = np.random.default_rng(16)
+    block = rng.normal(size=(step.dim, 7)) + 1j * rng.normal(size=(step.dim, 7))
+    stepped = step(block)
+    for j in range(7):
+        assert stepped[:, j].tobytes() == step(block[:, j]).tobytes(), j
+
+
+@pytest.mark.parametrize("family,s,r", CASE_SPECS)
+def test_walk_unitary_is_the_step_on_each_basis_arc(family, s, r):
+    spec = case_walk_spec(family, s, r)
+    step = walk_step(spec)
+    columns = np.array([step(e) for e in np.eye(step.dim)]).T + 0.0
+    assert walk_unitary(spec).unitary.tobytes() == columns.tobytes()
 
 
 def test_walk_unitary_dimensions():
@@ -285,7 +307,7 @@ def test_walk_step_arrays_are_read_only_and_linear_in_dim():
     spec = case_walk_spec("k23", 0, 1)
     step = walk_step(spec)
     assert step.dim == spec.space.dim == 12
-    for a in (step.starts, step.two_over_degree, step.gather, step.block_after, step.sign_after):
+    for a in (step.starts, step.two_over_degree, step.block_of, step.sign, step.reverse_of):
         assert a.ndim == 1 and len(a) <= step.dim
         with pytest.raises(ValueError):
             a[0] = 0

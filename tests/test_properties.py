@@ -155,6 +155,45 @@ def test_walk_step_matches_dense_unitary_on_random_graphs(graph_input, data):
     assert support == list(ref_space.in_edges[receiver])
 
 
+@_settings(max_examples=100)
+@given(graph_inputs(), st.integers(1, 5), st.data())
+def test_walk_step_on_a_block_equals_stepping_each_column(graph_input, k, data):
+    n, edges = graph_input
+    sender = data.draw(st.integers(0, n - 1), label="sender")
+    receiver = data.draw(st.integers(0, n - 1), label="receiver")
+    step = walk_step(walk_spec(build_graph(n, edges), sender, receiver))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    block = rng.normal(size=(step.dim, k)) + 1j * rng.normal(size=(step.dim, k))
+    stepped = step(block)
+    assert stepped.shape == (step.dim, k)
+    for j in range(k):
+        assert stepped[:, j].tobytes() == step(block[:, j]).tobytes(), j
+
+
+@_settings(max_examples=60)
+@given(graph_inputs(), st.data())
+def test_noiseless_series_is_invariant_under_vertex_relabelling(graph_input, data):
+    # relabelling reorders the arc basis; only the noise's Z, which phases arcs
+    # by position, can see that (tests/test_scenarios.py pins an S6 case)
+    n, edges = graph_input
+    label = data.draw(st.permutations(range(n)), label="relabelling")
+    sender = data.draw(st.integers(0, n - 1), label="sender")
+    receiver = data.draw(st.integers(0, n - 1), label="receiver")
+    with tempfile.TemporaryDirectory() as tmp:
+        graphs = []
+        for name, pairs in (("g", edges), ("h", [(label[u], label[v]) for u, v in edges])):
+            path = Path(tmp) / f"{name}.txt"
+            path.write_text(f"{n}\n" + "".join(f"{u} {v}\n" for u, v in pairs))
+            graphs.append(f"file:{path}")
+        for receiver_mode in ("incoming", "outgoing"):
+            sc = Scenario(graph=graphs[0], sender=sender, receiver=receiver,
+                          receiver_mode=receiver_mode, steps=300)
+            moved = Scenario(graph=graphs[1], sender=label[sender], receiver=label[receiver],
+                             receiver_mode=receiver_mode, steps=300)
+            difference = np.abs(run_scenario(sc).noiseless - run_scenario(moved).noiseless)
+            assert difference.max() <= 1e-12, receiver_mode
+
+
 _TOKENS = st.sampled_from(
     ["0", "1", "2", "3", "4", "-1", "07", "2.5", "x", "1e3", "0x1", "1_0", "10" * 10, "#", "\t"]
 )

@@ -284,6 +284,34 @@ def test_paper_suite_walks_each_family_once(monkeypatch):
         assert np.array_equal(series.noisy, single.noisy), name
 
 
+def test_noise_never_touches_the_path_graph():
+    # a walk from P5's degree-1 end sits on one arc at every step (the
+    # degree-2 Grover block is a swap), where the diagonal channel is a phase
+    suite = dict(paper_suite())
+    p5 = [name for name in suite if name.startswith("p5_")]
+    assert len(p5) == 6
+    worst = max(float(np.abs(suite[name].noisy - suite[name].noiseless).max()) for name in p5)
+    assert worst <= 1e-15
+
+
+def test_the_noisy_series_depends_on_arc_order(tmp_path):
+    # Z = diag(w^j) phases each arc by its lexicographic position, so swapping
+    # the leaves 1 and 2 of S6 moves the noisy series of 1 -> 0 while the
+    # noiseless one stays: a property of the model, not a fault
+    perm = (0, 2, 1, 3, 4, 5)
+    edges = [(0, leaf) for leaf in range(1, 6)]
+    graph = _write_graph_file(tmp_path / "s6.txt", 6, edges)
+    relabelled = _write_graph_file(tmp_path / "s6_swapped.txt", 6,
+                                   [(perm[u], perm[v]) for u, v in edges])
+    for noise in ("rtn", "oun"):
+        sc = Scenario(graph=graph, sender=1, receiver=0, receiver_mode="outgoing",
+                      noise=noise, steps=60)
+        before = run_scenario(sc)
+        after = run_scenario(replace(sc, graph=relabelled, sender=perm[1], receiver=perm[0]))
+        assert np.abs(after.noiseless - before.noiseless).max() <= 1e-12, noise
+        assert np.abs(after.noisy - before.noisy).max() > 0.1, noise
+
+
 def test_run_memory_does_not_grow_with_steps(tmp_path):
     # a streaming run keeps O(dim) state per step: 175 extra steps must not
     # retain even one dim x dim matrix
