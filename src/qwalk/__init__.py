@@ -10,14 +10,12 @@ random-telegraph or Ornstein-Uhlenbeck memory kernels.
 from .channels import (
     KrausSet,
     NoiseChannel,
-    apply_channel,
     kraus_set,
     oun_channel,
     oun_kernel,
     rtn_channel,
     rtn_kernel,
 )
-from .fidelity import fidelity_density, fidelity_pure, fidelity_pure_target
 from .graphs import (
     DirectedEdgeSpace,
     Graph,
@@ -81,11 +79,7 @@ __all__ = [
     "rtn_channel",
     "oun_channel",
     "kraus_set",
-    "apply_channel",
     "evolve_pure",
-    "fidelity_pure",
-    "fidelity_density",
-    "fidelity_pure_target",
     "Scenario",
     "FidelitySeries",
     "run_scenario",

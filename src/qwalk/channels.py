@@ -21,8 +21,8 @@ fidelity therefore has the closed form
 
 which :func:`dephased_series` evaluates on a run's overlap series. The runner
 checks it against the Kraus sum ``sum_i |<phi|K_i psi>|^2`` over the diagonals
-of :func:`kraus_set`, on the target's support. :func:`apply_channel` applies the
-channel to a density matrix: library API and test oracle, off the run path.
+of :func:`kraus_set`, on the target's support. No density matrix is built here;
+the channel acting on one is a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import check_density
 from .operators import UNITARY_ATOL
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "rtn_channel",
     "oun_channel",
     "kraus_set",
-    "apply_channel",
     "flipped_overlap",
     "dephased_series",
 ]
@@ -135,8 +133,9 @@ class NoiseChannel:
                     f"unsupported regime: a/gamma = {a / gamma:.6g} overflows the phase at t={t}"
                 )
             return math.exp(-gamma * t) * (math.cos(phase) + math.sin(phase) / nu)
-        # The exponent is <= 0; at gamma t < 1e-8 round-off can make it positive (kernel > 1).
-        return math.exp(min(0.0, -(lam / 2.0) * (t + (math.exp(-gamma * t) - 1.0) / gamma)))
+        # expm1 keeps (exp(-gamma t) - 1) / gamma accurate as gamma t -> 0. The exponent is
+        # <= 0; the sum with t can still round to a positive value there (kernel > 1).
+        return math.exp(min(0.0, -(lam / 2.0) * (t + math.expm1(-gamma * t) / gamma)))
 
 
 def rtn_channel(dim: int, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> NoiseChannel:
@@ -198,16 +197,6 @@ def kraus_set(channel: NoiseChannel, t: float) -> KrausSet:
     return KrausSet(operators=(k1, k2), time=float(t))
 
 
-def apply_channel(rho, ks: KrausSet) -> np.ndarray:
-    """Apply ``rho -> sum_i K_i rho K_i†`` (``K_i = diag(k_i)``) to a density matrix in ``O(dim^2)``."""
-    dim = ks.operators[0].shape[0]
-    rho = check_density(rho, dim=dim)
-    out = np.zeros_like(rho)
-    for k in ks.operators:
-        out += k[:, None] * rho * k.conj()[None, :]
-    return out
-
-
 def flipped_overlap(psi: np.ndarray, phi: np.ndarray) -> float:
     """``|<phi|Z psi>|^2`` for two state vectors of one dimension, in ``O(dim)``."""
     return abs(np.vdot(phi, _z_diagonal(len(psi)) * psi)) ** 2
@@ -234,8 +223,8 @@ def dephased_series(channel: NoiseChannel, kept: np.ndarray, flipped: np.ndarray
 
     ``kept[t] = |<phi|psi_t>|^2`` and ``flipped[t] = |<phi|Z psi_t>|^2``. It equals the
     Kraus sum ``sum_i |<phi|K_i psi_t>|^2`` over the :func:`kraus_set` diagonals (the
-    runner's cross-check, on the target's support) and the :func:`apply_channel` +
-    ``fidelity_density`` route, without any matrix.
+    runner's cross-check, on the target's support), without any matrix; the
+    density-matrix route to the same value lives only in the test oracles.
     The channel is validated once per series, not once per ``t``: its parameters
     when it was built, the range of ``kappa`` over the whole array. Round-off may
     leave a value just outside ``[0, 1]``; ``FidelitySeries`` clamps it.

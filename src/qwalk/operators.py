@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fidelity import _check_pure
 from .graphs import DirectedEdgeSpace, Graph, edge_space
 
 __all__ = [
@@ -38,6 +37,7 @@ __all__ = [
 
 RECEIVER_MODES = ("incoming", "outgoing")
 UNITARY_ATOL = 1e-12  # max-norm residual of an involution or unitarity check
+NORM_ATOL = 1e-10  # |‖psi‖ - 1| of a pure state
 
 
 @dataclass(frozen=True)
@@ -161,8 +161,18 @@ def walk_step(spec: WalkSpec) -> WalkStep:
     return step
 
 
+def _check_pure(psi, name: str) -> np.ndarray:
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"{name} must be a vector, got shape {psi.shape}")
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise ValueError(f"{name} is not normalized: |{name}| = {norm:.12g}")
+    return psi
+
+
 def evolve_pure(step: WalkStep, psi0, t: int) -> np.ndarray:
-    """Apply the walk step ``t`` times to a normalized state."""
+    """Apply the walk step ``t`` times to a state normalized to within ``NORM_ATOL``."""
     if t < 0:
         raise ValueError(f"step count must be nonnegative, got {t}")
     psi = _check_pure(psi0, "psi")

@@ -31,9 +31,8 @@ from .channels import (
     oun_channel,
     rtn_channel,
 )
-from .fidelity import NORM_ATOL, clamp_fidelity
 from .graphs import Graph, load_graph_file, standard_family
-from .operators import RECEIVER_MODES, receiver_state, sender_state, walk_spec, walk_step
+from .operators import NORM_ATOL, RECEIVER_MODES, receiver_state, sender_state, walk_spec, walk_step
 
 __all__ = [
     "Scenario",
@@ -52,6 +51,8 @@ __all__ = [
 MODES = ("transfer", "periodicity")
 NOISE_KINDS = ("none", "rtn", "oun")
 
+# A raw fidelity this far outside [0, 1] is round-off and clamped; any farther is rejected.
+CLAMP_WINDOW = 1e-10
 # The closed-form noisy fidelity is cross-checked against the Kraus sum
 # sum_i |<phi|K_i psi>|^2 on the target's support, every this many steps
 # (computed inside the walk, compared after it).
@@ -119,11 +120,21 @@ class Scenario:
 SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
 
 
+def clamp_fidelity(values):
+    """Clamp raw fidelities into ``[0, 1]``; NaN, or a value ``CLAMP_WINDOW`` outside, raises."""
+    values = np.asarray(values, dtype=float)
+    outside = ~((values >= -CLAMP_WINDOW) & (values <= 1.0 + CLAMP_WINDOW))
+    if outside.any():
+        raise ValueError(f"fidelity {values[outside].flat[0]:.12g} outside [0, 1] beyond round-off")
+    return np.clip(values, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class FidelitySeries:
     """Per-step fidelities for ``t = 0 .. steps``; ``noisy`` is None without noise.
 
-    The one place a series is clamped into ``[0, 1]`` or rejected (:func:`clamp_fidelity`).
+    The one place a fidelity is clamped into ``[0, 1]``, or rejected beyond
+    ``CLAMP_WINDOW`` (:func:`clamp_fidelity`), a whole series at a time.
     """
 
     noiseless: np.ndarray

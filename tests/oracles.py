@@ -19,6 +19,11 @@ loop that the runner's single overlap pass and combine step replaced.
 ``support_block_fidelity`` is the runner's former stride-25 cross-check: the
 channel applied to the ``|S| x |S|`` block of ``S = supp(target)`` and the
 general density formula, which the runner's ``O(|S|)`` Kraus sum replaced.
+The density-matrix layer the library no longer ships lives here alone:
+``check_density`` and ``psd_sqrt``, the three fidelity routes
+(``fidelity_pure``, the general ``fidelity_density`` and the pure-target
+shortcut ``fidelity_pure_target``) and ``apply_channel``, the channel on a
+density matrix from the ``kraus_set`` diagonals in ``O(dim^2)``.
 ``reference_write_csv``, ``reference_render_svg`` and
 ``reference_write_matrix_csv`` are the writers as they were before they
 formatted from ``tolist()`` and numpy coordinate arrays: one numpy scalar at
@@ -39,15 +44,14 @@ from qwalk.channels import (
     NoiseChannel,
     _checked_kernel,
     _z_diagonal,
-    apply_channel,
     kraus_set,
     oun_channel,
     rtn_channel,
 )
-from qwalk.fidelity import check_density, clamp_fidelity, fidelity_density, fidelity_pure
 from qwalk.graphs import DirectedEdgeSpace
 from qwalk.operators import (
     UNITARY_ATOL,
+    _check_pure,
     WalkOperators,
     WalkSpec,
     receiver_state,
@@ -66,7 +70,104 @@ from qwalk.output import (
     CSV_HEADER,
     _x_ticks,
 )
-from qwalk.scenarios import FidelitySeries, scenario_graph
+from qwalk.scenarios import FidelitySeries, clamp_fidelity, scenario_graph
+
+
+HERMITIAN_ATOL = 1e-10  # max |M - M†|
+PSD_EIGENVALUE_FLOOR = -1e-10  # eigenvalues above this are clamped to 0
+DENSITY_TRACE_ATOL = 1e-10
+
+
+def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {a.shape}")
+    return a
+
+
+def psd_sqrt(m) -> np.ndarray:
+    """Hermitian square root of a positive-semidefinite matrix.
+
+    The input must be Hermitian to within ``HERMITIAN_ATOL``; it is
+    symmetrized before decomposition. Eigenvalues in
+    ``[PSD_EIGENVALUE_FLOOR, 0)`` are treated as round-off and clamped to 0;
+    anything below the floor is rejected as genuinely non-PSD input.
+    """
+    m = _as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got {m.shape}")
+    if float(np.abs(m - m.conj().T).max()) > HERMITIAN_ATOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    eigenvalues, eigenvectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    if eigenvalues.min() < PSD_EIGENVALUE_FLOOR:
+        raise ValueError(
+            f"matrix is not positive semidefinite: smallest eigenvalue {eigenvalues.min():.3e}"
+        )
+    clamped = np.clip(eigenvalues, 0.0, None)
+    # Rank-deficient inputs carry eps-size noise eigenvalues whose square
+    # roots would be O(1e-8); zero everything below the numerical rank floor.
+    floor = clamped.size * np.finfo(float).eps * clamped.max()
+    clamped[clamped < floor] = 0.0
+    root = (eigenvectors * np.sqrt(clamped)) @ eigenvectors.conj().T
+    return 0.5 * (root + root.conj().T)
+
+
+def check_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
+    """Validate a density matrix: square, Hermitian, unit trace, PSD.
+
+    Returns the input as a complex array. ``dim``, when given, pins the
+    expected dimension.
+    """
+    rho = _as_matrix(rho, name)
+    if rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"{name} must be square, got {rho.shape}")
+    if dim is not None and rho.shape[0] != dim:
+        raise ValueError(f"{name} has dimension {rho.shape[0]}, expected {dim}")
+    if float(np.abs(rho - rho.conj().T).max()) > HERMITIAN_ATOL:
+        raise ValueError(f"{name} is not Hermitian within tolerance")
+    trace = complex(np.trace(rho))
+    if abs(trace - 1.0) > DENSITY_TRACE_ATOL:
+        raise ValueError(f"{name} has trace {trace:.12g}, expected 1")
+    smallest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min())
+    if smallest < PSD_EIGENVALUE_FLOOR:
+        raise ValueError(f"{name} is not PSD: smallest eigenvalue {smallest:.3e}")
+    return rho
+
+
+def fidelity_pure(psi, phi) -> float:
+    """``|<psi|phi>|^2`` for two normalized state vectors."""
+    psi = _check_pure(psi, "psi")
+    phi = _check_pure(phi, "phi")
+    if psi.shape != phi.shape:
+        raise ValueError(f"dimension mismatch: {psi.shape} vs {phi.shape}")
+    return float(clamp_fidelity(abs(np.vdot(psi, phi)) ** 2))
+
+
+def fidelity_density(rho, sigma) -> float:
+    """``(tr sqrt(sqrt(rho) sigma sqrt(rho)))^2`` for two density matrices."""
+    rho = check_density(rho, name="rho")
+    sigma = check_density(sigma, dim=rho.shape[0], name="sigma")
+    root = psd_sqrt(rho)
+    inner = root @ sigma @ root
+    trace = float(np.trace(psd_sqrt(0.5 * (inner + inner.conj().T))).real)
+    return float(clamp_fidelity(trace**2))
+
+
+def fidelity_pure_target(rho, phi) -> float:
+    """``<phi|rho|phi>``: the density-density fidelity when the target is pure."""
+    phi = _check_pure(phi, "phi")
+    rho = check_density(rho, dim=phi.shape[0], name="rho")
+    return float(clamp_fidelity(np.vdot(phi, rho @ phi).real))
+
+
+def apply_channel(rho, ks: KrausSet) -> np.ndarray:
+    """Apply ``rho -> sum_i K_i rho K_i†`` (``K_i = diag(k_i)``) to a density matrix in ``O(dim^2)``."""
+    dim = ks.operators[0].shape[0]
+    rho = check_density(rho, dim=dim)
+    out = np.zeros_like(rho)
+    for k in ks.operators:
+        out += k[:, None] * rho * k.conj()[None, :]
+    return out
 
 
 def naive_matmul(a, b) -> np.ndarray:

@@ -11,13 +11,19 @@ import pytest
 
 from qwalk.channels import kraus_set, oun_channel, oun_kernel, rtn_channel, rtn_kernel
 from qwalk.cli import main
-from qwalk.fidelity import fidelity_density, fidelity_pure, fidelity_pure_target
 from qwalk.operators import sender_state, walk_spec, walk_unitary
 from qwalk.scenarios import Scenario, case_study_scenarios, peak_steps, run_scenario
 from qwalk.graphs import standard_family
 
 from .goldens import CASE_SPECS, FAMILY_BUILDERS, GOLDEN_COINS, GOLDEN_SHIFTS
-from .oracles import power_evolved, random_density, random_pure
+from .oracles import (
+    fidelity_density,
+    fidelity_pure,
+    fidelity_pure_target,
+    power_evolved,
+    random_density,
+    random_pure,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

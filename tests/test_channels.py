@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from qwalk.channels import (
     _checked_kernel,
     _kernel_series,
     _z_diagonal,
-    apply_channel,
     dephased_series,
     flipped_overlap,
     kraus_set,
@@ -21,12 +21,12 @@ from qwalk.channels import (
     rtn_kernel,
 )
 
-from qwalk.fidelity import fidelity_pure_target
-
 from .oracles import (
+    apply_channel,
     dense_apply_channel,
     dense_kraus_set,
     dephased_fidelity,
+    fidelity_pure_target,
     random_density,
     random_pure,
     weyl_operator,
@@ -264,6 +264,37 @@ def test_oun_kernel_stays_in_unit_interval_at_tiny_gamma_t():
         values = [oun_kernel(float(t), lam, gamma) for t in range(101)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert kraus_set(oun_channel(4, lam, gamma), 50.0).time == 50.0
+
+
+def _oun_kernel_decimal(t: float, lam: float, gamma: float) -> float:
+    """The OUN kernel at 400 significant digits, from the exact binary values of its inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 400
+        g, t = Decimal(gamma), Decimal(t)
+        return float((-(Decimal(lam) / 2) * (t + ((-g * t).exp() - 1) / g)).exp())
+
+
+def test_oun_kernel_matches_a_400_digit_evaluation_down_to_tiny_gamma():
+    # (exp(-gamma t) - 1)/gamma cancels as gamma t -> 0 unless taken through expm1;
+    # the bound leaves room for the float limit lam * t * eps (1.1e-10 at t = 1e5)
+    worst = 0.0
+    for gamma in (0.5, 0.05, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-20, 1e-300):
+        for lam in (0.1, 1.0, 10.0):
+            channel = oun_channel(1, lam, gamma)
+            for t in (1.0, 2.0, 10.0, 100.0, 1000.0, 1e5):
+                error = abs(channel.kernel(t) - _oun_kernel_decimal(t, lam, gamma))
+                worst = max(worst, error)
+    assert worst <= 2e-10
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+def test_oun_kernel_does_not_grow_with_gamma(t):
+    # a faster-decorrelating bath never gives more memory: kappa(t) is
+    # nonincreasing in gamma, from gamma = 1 down into the subnormals
+    gammas = [10.0 ** (-k / 10) for k in range(3201)]  # 1 .. 1e-320, decreasing
+    kappas = [oun_channel(1, 1.0, gamma).kernel(t) for gamma in gammas]
+    rise = max(at_larger - at_smaller for at_larger, at_smaller in zip(kappas, kappas[1:]))
+    assert rise <= 1e-14
 
 
 def test_kraus_rejects_kernel_outside_unit_interval():

@@ -5,11 +5,17 @@ import pytest
 
 from qwalk.channels import oun_channel, rtn_channel
 from qwalk.operators import evolve_pure
-from qwalk.fidelity import fidelity_pure, fidelity_pure_target
 from qwalk.graphs import complete_bipartite_graph, cycle_graph, path_graph, star_graph
 from qwalk.operators import receiver_state, sender_state, walk_spec, walk_step
 
-from .oracles import dense_walk_operators, evolve_density, noisy_state, power_evolved
+from .oracles import (
+    dense_walk_operators,
+    evolve_density,
+    fidelity_pure,
+    fidelity_pure_target,
+    noisy_state,
+    power_evolved,
+)
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,23 @@
+"""The three fidelity routes of the test oracles (the pure overlap, the general
+density-density formula and the pure-target shortcut), against scipy and each
+other, and the library's one clamp, ``qwalk.scenarios.clamp_fidelity``."""
+
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-import qwalk.fidelity as fid
-from qwalk.fidelity import fidelity_density, fidelity_pure, fidelity_pure_target
+from qwalk.scenarios import clamp_fidelity
 
-from .oracles import random_density, random_pure, random_unitary, uhlmann_fidelity_scipy
+from .oracles import (
+    fidelity_density,
+    fidelity_pure,
+    fidelity_pure_target,
+    random_density,
+    random_pure,
+    random_unitary,
+    uhlmann_fidelity_scipy,
+)
 
 
 def test_pure_identical_states():
@@ -117,16 +128,16 @@ def test_outputs_stay_in_unit_interval():
 
 
 def test_clamp_window_boundaries():
-    assert fid.clamp_fidelity(1.0 + 5e-11) == 1.0
-    assert fid.clamp_fidelity(-5e-11) == 0.0
+    assert clamp_fidelity(1.0 + 5e-11) == 1.0
+    assert clamp_fidelity(-5e-11) == 0.0
     with pytest.raises(ValueError, match="outside"):
-        fid.clamp_fidelity(1.0 + 1e-9)
+        clamp_fidelity(1.0 + 1e-9)
     with pytest.raises(ValueError, match="outside"):
-        fid.clamp_fidelity(-1e-9)
+        clamp_fidelity(-1e-9)
     # a whole series at once: clamped element-wise, the first offender named
     series = np.array([-5e-11, 0.25, 1.0 + 5e-11])
-    assert fid.clamp_fidelity(series).tolist() == [0.0, 0.25, 1.0]
+    assert clamp_fidelity(series).tolist() == [0.0, 0.25, 1.0]
     with pytest.raises(ValueError, match="fidelity 1.001 outside"):
-        fid.clamp_fidelity(np.array([0.5, 1.001, -0.2]))
+        clamp_fidelity(np.array([0.5, 1.001, -0.2]))
     with pytest.raises(ValueError, match="fidelity nan outside"):  # NaN is no fidelity
-        fid.clamp_fidelity(np.array([0.5, np.nan]))
+        clamp_fidelity(np.array([0.5, np.nan]))

@@ -1,16 +1,15 @@
-"""The dense kernels of :mod:`qwalk.fidelity` (``psd_sqrt``, ``check_density``) and the
-matrix-product oracle, checked on the walk operators and on random matrices."""
+"""The dense density-matrix kernels of the test oracles (``psd_sqrt``, ``check_density``)
+and the matrix-product oracle, checked on the walk operators and on random matrices."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from qwalk.fidelity import check_density, psd_sqrt
 from qwalk.graphs import cycle_graph, path_graph, star_graph
 from qwalk.operators import walk_spec, walk_unitary
 
-from .oracles import naive_matmul, random_density, random_pure
+from .oracles import check_density, naive_matmul, psd_sqrt, random_density, random_pure
 
 
 def test_matmul_against_triple_loop_on_walk_operators():
