@@ -8,13 +8,10 @@ random-telegraph or Ornstein-Uhlenbeck memory kernels.
 """
 
 from .channels import (
-    KrausSet,
     NoiseChannel,
     kraus_set,
     oun_channel,
-    oun_kernel,
     rtn_channel,
-    rtn_kernel,
 )
 from .graphs import (
     DirectedEdgeSpace,
@@ -73,9 +70,6 @@ __all__ = [
     "sender_state",
     "receiver_state",
     "NoiseChannel",
-    "KrausSet",
-    "rtn_kernel",
-    "oun_kernel",
     "rtn_channel",
     "oun_channel",
     "kraus_set",

@@ -8,11 +8,10 @@ Two noise families are provided, both with a two-element Kraus set
 where ``I`` and ``Z`` are the Weyl operators ``W(0, 0)`` and ``W(1, 0)`` in the
 walk's dimension and the memory kernel ``kappa`` is either the
 damped-oscillatory random-telegraph kernel or the monotone modified
-Ornstein-Uhlenbeck kernel, both defined only in :class:`NoiseChannel` (the
-public :func:`rtn_kernel` and :func:`oun_kernel` go through it). Both Kraus
-operators are diagonal, so the channels dephase edge-basis coherences while
-leaving populations untouched, and a :class:`KrausSet` stores each operator
-as its diagonal.
+Ornstein-Uhlenbeck kernel. A :class:`NoiseChannel` is that kernel alone
+(:meth:`NoiseChannel.kernel`); the walk's dimension enters only :func:`kraus_set`,
+which returns the two operators as their diagonals. Being diagonal, they dephase
+edge-basis coherences and leave populations untouched.
 
 For a pure state ``psi`` and a pure target ``phi`` the channel output's
 fidelity therefore has the closed form
@@ -41,9 +40,6 @@ __all__ = [
     "OUN_DEFAULT_LAMBDA",
     "OUN_DEFAULT_GAMMA",
     "NoiseChannel",
-    "KrausSet",
-    "rtn_kernel",
-    "oun_kernel",
     "rtn_channel",
     "oun_channel",
     "kraus_set",
@@ -67,45 +63,22 @@ def _check_parameters(**params: float) -> None:
         raise ValueError(f"parameters must be finite and positive, got {shown}")
 
 
-def rtn_kernel(t: float, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> float:
-    """Damped-oscillatory random-telegraph memory kernel.
-
-    ``exp(-gamma t) [cos(nu gamma t) + sin(nu gamma t) / nu]`` with
-    ``nu = sqrt((2 a / gamma)^2 - 1)``. Defined only in the oscillatory
-    regime ``a / gamma > 0.5`` where ``nu`` is real; equals 1 at ``t = 0``.
-    """
-    return rtn_channel(1, a, gamma).kernel(t)
-
-
-def oun_kernel(t: float, lam: float = OUN_DEFAULT_LAMBDA, gamma: float = OUN_DEFAULT_GAMMA) -> float:
-    """Monotone Ornstein-Uhlenbeck memory kernel.
-
-    ``exp(-(lam / 2) (t + (exp(-gamma t) - 1) / gamma))``: equals 1 at
-    ``t = 0`` and decreases strictly for ``t > 0``.
-    """
-    return oun_channel(1, lam, gamma).kernel(t)
-
-
 @dataclass(frozen=True)
 class NoiseChannel:
-    """Time-parameterized generator of Kraus sets in a fixed dimension.
+    """A dephasing channel as its memory kernel, in no particular dimension.
 
     The one home of the kernel ``kappa(t)`` (:meth:`kernel`) and of the checks on
-    its parameters. Build one with :func:`rtn_channel` or :func:`oun_channel`; the
-    parameter fields not belonging to ``kind`` stay ``None``. The dimension, the
-    parameters and (for ``rtn``) the regime and the phase at ``t = 0`` are checked
-    once, on construction, so :meth:`kernel` checks only ``t`` (and the ``rtn`` phase).
-    """
+    its parameters. Build one with :func:`rtn_channel` or :func:`oun_channel`; the fields
+    not belonging to ``kind`` stay ``None``. The parameters and (for ``rtn``) the regime
+    and the phase at ``t = 0`` are checked once, on construction, so :meth:`kernel`
+    checks only ``t`` (and the ``rtn`` phase)."""
 
     kind: str  # "rtn" | "oun"
-    dim: int
     a: float | None = None
     lam: float | None = None
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dim}")
         if self.kind == "rtn":
             _check_parameters(a=self.a, gamma=self.gamma)
             if 2.0 * self.a / self.gamma <= 1.0:
@@ -120,13 +93,20 @@ class NoiseChannel:
             raise ValueError(f"noise kind must be 'rtn' or 'oun', got {self.kind!r}")
 
     def kernel(self, t: float) -> float:
-        """``kappa(t)`` for ``t >= 0``, from the scalar ``math`` formula of ``kind``."""
+        """``kappa(t)`` for ``t >= 0`` from the scalar ``math`` formula of ``kind``; 1 at ``t = 0``.
+
+        ``rtn`` (damped-oscillatory): ``exp(-gamma t) [cos(nu gamma t) + sin(nu gamma t) / nu]``,
+        ``nu = sqrt((2 a / gamma)^2 - 1)``, real only in the regime ``a / gamma > 0.5``.
+        ``oun`` (monotone, strictly decreasing for ``t > 0``):
+        ``exp(-(lam / 2) (t + (exp(-gamma t) - 1) / gamma))``.
+        """
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         a, lam, gamma = self.a, self.lam, self.gamma
         if self.kind == "rtn":
             ratio = 2.0 * a / gamma
-            nu = math.sqrt(ratio**2 - 1.0) if ratio < 1e150 else math.inf  # ratio**2 would overflow
+            # Past 1e150 ratio**2 would overflow; sqrt(ratio**2 - 1) rounds to ratio from 7e7 on.
+            nu = math.sqrt(ratio**2 - 1.0) if ratio < 1e150 else ratio
             phase = nu * gamma * t
             if not math.isfinite(phase):
                 raise ValueError(
@@ -138,25 +118,14 @@ class NoiseChannel:
         return math.exp(min(0.0, -(lam / 2.0) * (t + math.expm1(-gamma * t) / gamma)))
 
 
-def rtn_channel(dim: int, a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> NoiseChannel:
+def rtn_channel(a: float = RTN_DEFAULT_A, gamma: float = RTN_DEFAULT_GAMMA) -> NoiseChannel:
     """Random-telegraph channel; raises outside the oscillatory regime ``a/gamma > 0.5``."""
-    return NoiseChannel(kind="rtn", dim=dim, a=a, gamma=gamma)
+    return NoiseChannel(kind="rtn", a=a, gamma=gamma)
 
 
-def oun_channel(dim: int, lam: float = OUN_DEFAULT_LAMBDA, gamma: float = OUN_DEFAULT_GAMMA) -> NoiseChannel:
+def oun_channel(lam: float = OUN_DEFAULT_LAMBDA, gamma: float = OUN_DEFAULT_GAMMA) -> NoiseChannel:
     """Ornstein-Uhlenbeck channel with relaxation ``lam`` and bandwidth ``gamma``."""
-    return NoiseChannel(kind="oun", dim=dim, lam=lam, gamma=gamma)
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Kraus operators of one channel evaluation, each stored as its diagonal.
-
-    ``operators[i]`` is the length-``dim`` vector ``k_i`` of ``K_i = diag(k_i)``;
-    completeness ``sum |k_i|^2 = 1``, that is ``sum K†K = I``, holds to 1e-12."""
-
-    operators: tuple[np.ndarray, ...]
-    time: float
+    return NoiseChannel(kind="oun", lam=lam, gamma=gamma)
 
 
 def _kernel_outside(kappa: float, t: float) -> ValueError:
@@ -171,30 +140,29 @@ def _checked_kernel(channel: NoiseChannel, t: float) -> float:
     return min(1.0, max(-1.0, kappa))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)  # a walk keeps one dimension; keep no stale dim-sized array
 def _z_diagonal(d: int) -> np.ndarray:
-    """Read-only diagonal ``omega^j`` of ``Z = W(1, 0)`` in dimension ``d``, computed once per ``d``."""
+    """Read-only diagonal ``omega^j`` of ``Z = W(1, 0)`` in dimension ``d``, cached for one ``d``."""
     z = np.exp(2j * np.pi * np.arange(d) / d)
     z.flags.writeable = False
     return z
 
 
-def kraus_set(channel: NoiseChannel, t: float) -> KrausSet:
-    """Evaluate the channel's two Kraus operators at time ``t``, as diagonals.
+def kraus_set(channel: NoiseChannel, t: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The channel's two Kraus operators at time ``t`` in dimension ``dim``, as a pair of diagonals.
 
-    They are ``sqrt((1 + kappa)/2) * 1`` and ``sqrt((1 - kappa)/2) * z`` with
-    ``z`` the diagonal of ``Z``. The kernel value must lie in ``[-1, 1]`` (up
-    to round-off); completeness ``sum |k_i|^2 = 1`` is verified on construction.
+    They are ``sqrt((1 + kappa)/2) * 1`` and ``sqrt((1 - kappa)/2) * z``, read-only, with
+    ``z`` the diagonal of ``Z``. The kernel value must lie in ``[-1, 1]`` (up to
+    round-off); completeness ``sum |k_i|^2 = 1`` is verified on construction.
     """
     kappa = _checked_kernel(channel, t)
-    d = channel.dim
-    k1 = np.full(d, math.sqrt((1.0 + kappa) / 2.0), dtype=complex)
-    k2 = math.sqrt((1.0 - kappa) / 2.0) * _z_diagonal(d)
+    k1 = np.full(dim, math.sqrt((1.0 + kappa) / 2.0), dtype=complex)
+    k2 = math.sqrt((1.0 - kappa) / 2.0) * _z_diagonal(dim)
     if float(np.abs(np.abs(k1) ** 2 + np.abs(k2) ** 2 - 1.0).max()) > UNITARY_ATOL:
         raise RuntimeError("Kraus completeness relation violated")
     for k in (k1, k2):
         k.flags.writeable = False
-    return KrausSet(operators=(k1, k2), time=float(t))
+    return k1, k2
 
 
 def flipped_overlap(psi: np.ndarray, phi: np.ndarray) -> float:

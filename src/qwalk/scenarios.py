@@ -113,7 +113,7 @@ class Scenario:
         # The run's kappa at the horizon rejects bad noise parameters (say a/gamma
         # <= 0.5, or an RTN phase overflowing by the end) before any graph is built.
         if self.noise != "none":
-            _channel(self, self.noise, 1).kernel(float(self.steps))
+            _channel(self, self.noise).kernel(float(self.steps))
 
 
 # The flat keys a config file or command line may set: the Scenario fields.
@@ -165,11 +165,11 @@ def scenario_graph(sc: Scenario) -> Graph:
     return standard_family(sc.graph, *sc.size)
 
 
-def _channel(sc: Scenario, kind: str, dim: int) -> NoiseChannel:
-    """The scenario's ``kind`` channel (``rtn`` or ``oun``) in dimension ``dim``."""
+def _channel(sc: Scenario, kind: str) -> NoiseChannel:
+    """The scenario's ``kind`` channel (``rtn`` or ``oun``)."""
     if kind == "rtn":
-        return rtn_channel(dim, a=sc.rtn_a, gamma=sc.rtn_gamma)
-    return oun_channel(dim, lam=sc.oun_lambda, gamma=sc.oun_gamma)
+        return rtn_channel(a=sc.rtn_a, gamma=sc.rtn_gamma)
+    return oun_channel(lam=sc.oun_lambda, gamma=sc.oun_gamma)
 
 
 _Checks = dict[str, tuple[NoiseChannel, list[float]]]
@@ -188,7 +188,7 @@ def _walk(sc: Scenario, kinds: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray 
     target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
     support = np.flatnonzero(target)
     phi = target[support]
-    checks = {kind: (_channel(sc, kind, len(target)), []) for kind in kinds}
+    checks = {kind: (_channel(sc, kind), []) for kind in kinds}
     kept = np.empty(sc.steps + 1)
     flipped = np.empty(sc.steps + 1) if kinds else None
     for t in range(sc.steps + 1):
@@ -200,7 +200,7 @@ def _walk(sc: Scenario, kinds: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray 
             if t % _CROSS_CHECK_STRIDE == 0:
                 block = psi[support]
                 for channel, dense in checks.values():
-                    dense.append(_dense_fidelity(channel, t, block, support, phi))
+                    dense.append(_dense_fidelity(channel, t, len(psi), block, support, phi))
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if not drift <= NORM_ATOL:  # NaN fails this comparison too
         raise RuntimeError(f"state norm drifted by {drift:.3g} over {sc.steps} steps")
@@ -240,19 +240,18 @@ def run_scenario(sc: Scenario) -> FidelitySeries:
     return _combine(sc, *_walk(sc, () if sc.noise == "none" else (sc.noise,)))
 
 
-def _dense_fidelity(channel: NoiseChannel, t: int, a: np.ndarray, support: np.ndarray,
+def _dense_fidelity(channel: NoiseChannel, t: int, dim: int, a: np.ndarray, support: np.ndarray,
                     phi: np.ndarray) -> float:
     """The noisy fidelity as the Kraus sum on ``S = supp(target)``.
 
     ``<phi|E_t(|psi><psi|)|phi> = sum_i |<phi|K_i psi>|^2``, and with diagonal
     ``K_i`` only ``a = psi_S`` and ``phi = phi_S`` enter the sum, ``O(|S|)`` with
     ``|S|`` the receiver's (in-)degree. :func:`~qwalk.channels.kraus_set` builds both
-    length-``dim`` diagonals and checks their completeness, so a check costs
-    ``O(dim) + O(|S|)``: the order of one step, once every ``_CROSS_CHECK_STRIDE``.
-    It stays independent of the closed form's kernel series and mix: the diagonals
-    come from ``kraus_set``, with its scalar kernel and completeness check.
+    length-``dim`` diagonals with its own scalar kernel and completeness check, apart from
+    the closed form's kernel series and mix, so a check costs ``O(dim) + O(|S|)``: the
+    order of one step, once every ``_CROSS_CHECK_STRIDE``.
     """
-    return sum(abs(np.vdot(phi, k[support] * a)) ** 2 for k in kraus_set(channel, t).operators)
+    return sum(abs(np.vdot(phi, k[support] * a)) ** 2 for k in kraus_set(channel, t, dim))
 
 
 def _family(graph: str, size: tuple[int, ...], s: int, r: int | None, mode: str) -> Scenario:

@@ -40,7 +40,6 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from qwalk.channels import (
-    KrausSet,
     NoiseChannel,
     _checked_kernel,
     _z_diagonal,
@@ -160,12 +159,12 @@ def fidelity_pure_target(rho, phi) -> float:
     return float(clamp_fidelity(np.vdot(phi, rho @ phi).real))
 
 
-def apply_channel(rho, ks: KrausSet) -> np.ndarray:
+def apply_channel(rho, ks) -> np.ndarray:
     """Apply ``rho -> sum_i K_i rho K_i†`` (``K_i = diag(k_i)``) to a density matrix in ``O(dim^2)``."""
-    dim = ks.operators[0].shape[0]
+    dim = ks[0].shape[0]
     rho = check_density(rho, dim=dim)
     out = np.zeros_like(rho)
-    for k in ks.operators:
+    for k in ks:
         out += k[:, None] * rho * k.conj()[None, :]
     return out
 
@@ -259,30 +258,29 @@ def weyl_operator(d: int, u: int, v: int) -> np.ndarray:
     return w
 
 
-def dense_kraus_set(channel: NoiseChannel, t: float) -> KrausSet:
-    """The channel's two Kraus operators at time ``t`` as dense Weyl matrices.
+def dense_kraus_set(channel: NoiseChannel, t: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The channel's two Kraus operators at time ``t`` in dimension ``dim`` as dense Weyl matrices.
 
     The kernel value is clamped into ``[-1, 1]``; the completeness relation
     ``sum K†K = I`` is verified with a matrix product.
     """
     kappa = min(1.0, max(-1.0, channel.kernel(t)))
-    d = channel.dim
-    k1 = math.sqrt((1.0 + kappa) / 2.0) * weyl_operator(d, 0, 0)
-    k2 = math.sqrt((1.0 - kappa) / 2.0) * weyl_operator(d, 1, 0)
+    k1 = math.sqrt((1.0 + kappa) / 2.0) * weyl_operator(dim, 0, 0)
+    k2 = math.sqrt((1.0 - kappa) / 2.0) * weyl_operator(dim, 1, 0)
     total = k1.conj().T @ k1 + k2.conj().T @ k2
-    if float(np.abs(total - np.eye(d)).max()) > UNITARY_ATOL:
+    if float(np.abs(total - np.eye(dim)).max()) > UNITARY_ATOL:
         raise RuntimeError("Kraus completeness relation violated")
     for k in (k1, k2):
         k.flags.writeable = False
-    return KrausSet(operators=(k1, k2), time=float(t))
+    return k1, k2
 
 
-def dense_apply_channel(rho, ks: KrausSet) -> np.ndarray:
+def dense_apply_channel(rho, ks) -> np.ndarray:
     """Apply ``rho -> sum_i K_i rho K_i†`` with dense Kraus matrices."""
-    dim = ks.operators[0].shape[0]
+    dim = ks[0].shape[0]
     rho = check_density(rho, dim=dim)
     out = np.zeros_like(rho)
-    for k in ks.operators:
+    for k in ks:
         out += k @ rho @ k.conj().T
     return out
 
@@ -293,11 +291,11 @@ def noisy_state(ops: WalkOperators, psi0, channel: NoiseChannel, t: int) -> np.n
     The channel is evaluated at time ``t`` (walk steps and channel time
     share the same clock) and applied once to ``|psi_t><psi_t|``.
     """
-    if channel.dim != ops.dim:
-        raise ValueError(f"channel dimension {channel.dim} != walk dimension {ops.dim}")
+    if np.shape(psi0) != (ops.dim,):
+        raise ValueError(f"state shape {np.shape(psi0)} != walk dimension {ops.dim}")
     psi_t = power_evolved(ops.unitary, psi0, t)
     rho_t = np.outer(psi_t, psi_t.conj())
-    return dense_apply_channel(rho_t, dense_kraus_set(channel, t))
+    return dense_apply_channel(rho_t, dense_kraus_set(channel, t, ops.dim))
 
 
 def dephased_fidelity(channel: NoiseChannel, t: float, psi, phi) -> float:
@@ -309,14 +307,13 @@ def dephased_fidelity(channel: NoiseChannel, t: float, psi, phi) -> float:
     """
     psi = np.asarray(psi, dtype=complex)
     phi = np.asarray(phi, dtype=complex)
-    d = channel.dim
-    if psi.shape != (d,) or phi.shape != (d,):
+    if psi.ndim != 1 or psi.shape != phi.shape:
         raise ValueError(
-            f"states have shapes {psi.shape} and {phi.shape}, expected ({d},) for the channel"
+            f"states have shapes {psi.shape} and {phi.shape}, expected two equal-length vectors"
         )
     kappa = _checked_kernel(channel, t)
     kept = abs(np.vdot(phi, psi)) ** 2
-    flipped = abs(np.vdot(phi, _z_diagonal(d) * psi)) ** 2
+    flipped = abs(np.vdot(phi, _z_diagonal(len(psi)) * psi)) ** 2
     return float(clamp_fidelity((1.0 + kappa) / 2.0 * kept + (1.0 - kappa) / 2.0 * flipped))
 
 
@@ -333,9 +330,9 @@ def stepwise_series(sc) -> tuple[np.ndarray, np.ndarray | None]:
     target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
     channel = None
     if sc.noise == "rtn":
-        channel = rtn_channel(spec.space.dim, a=sc.rtn_a, gamma=sc.rtn_gamma)
+        channel = rtn_channel(a=sc.rtn_a, gamma=sc.rtn_gamma)
     elif sc.noise == "oun":
-        channel = oun_channel(spec.space.dim, lam=sc.oun_lambda, gamma=sc.oun_gamma)
+        channel = oun_channel(lam=sc.oun_lambda, gamma=sc.oun_gamma)
 
     noiseless = np.empty(sc.steps + 1)
     noisy = None if channel is None else np.empty(sc.steps + 1)
@@ -348,8 +345,8 @@ def stepwise_series(sc) -> tuple[np.ndarray, np.ndarray | None]:
     return noiseless, noisy
 
 
-def support_block_fidelity(channel: NoiseChannel, t: int, a: np.ndarray, support: np.ndarray,
-                           phi: np.ndarray) -> float:
+def support_block_fidelity(channel: NoiseChannel, t: int, dim: int, a: np.ndarray,
+                           support: np.ndarray, phi: np.ndarray) -> float:
     """The noisy fidelity by the dense Kraus route on ``S = supp(target)``.
 
     The Kraus operators are diagonal, so ``(K rho K†)_SS = K_SS rho_SS K_SS†`` and
@@ -359,10 +356,10 @@ def support_block_fidelity(channel: NoiseChannel, t: int, a: np.ndarray, support
     is skipped. The arguments are those of the runner's ``_dense_fidelity``.
     """
     p = float(np.vdot(a, a).real)
-    ks = kraus_set(channel, t)
+    ks = kraus_set(channel, t, dim)
     if not (p > 0.0 and np.isfinite(p)):  # no weight on S, or a state the norm check rejects
         return 0.0
-    block = KrausSet(operators=tuple(k[support] for k in ks.operators), time=ks.time)
+    block = tuple(k[support] for k in ks)
     rho = apply_channel(np.outer(a, a.conj()) / p, block)
     return p * fidelity_density(rho, np.outer(phi, phi.conj()))
 

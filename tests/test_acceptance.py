@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qwalk.channels import kraus_set, oun_channel, oun_kernel, rtn_channel, rtn_kernel
+from qwalk.channels import kraus_set, oun_channel, rtn_channel
 from qwalk.cli import main
 from qwalk.operators import sender_state, walk_spec, walk_unitary
 from qwalk.scenarios import Scenario, case_study_scenarios, peak_steps, run_scenario
@@ -96,16 +96,17 @@ def test_criterion_4_noise_transparency(suite):
 def test_criterion_5_channel_sanity():
     completeness = 0.0
     for dim in (8, 10, 12):
-        for channel in (rtn_channel(dim), oun_channel(dim)):
+        for channel in (rtn_channel(), oun_channel()):
             eye = np.eye(dim)
             for t in range(101):
-                ks = kraus_set(channel, float(t))
-                total = sum(np.diag(k).conj().T @ np.diag(k) for k in ks.operators)
+                ks = kraus_set(channel, float(t), dim)
+                total = sum(np.diag(k).conj().T @ np.diag(k) for k in ks)
                 completeness = max(completeness, float(np.abs(total - eye).max()))
-    kernels_at_zero = max(abs(rtn_kernel(0.0) - 1.0), abs(oun_kernel(0.0) - 1.0))
-    oun_values = [oun_kernel(float(t)) for t in range(1, 101)]
+    kernels_at_zero = max(abs(rtn_channel().kernel(0.0) - 1.0),
+                          abs(oun_channel().kernel(0.0) - 1.0))
+    oun_values = [oun_channel().kernel(float(t)) for t in range(1, 101)]
     oun_decreasing = all(b < a for a, b in zip(oun_values, oun_values[1:]))
-    rtn_values = [rtn_kernel(float(t)) for t in range(101)]
+    rtn_values = [rtn_channel().kernel(float(t)) for t in range(101)]
     sign_changes = sum(1 for a, b in zip(rtn_values, rtn_values[1:]) if a * b < 0)
     ok = (
         completeness <= 1e-12

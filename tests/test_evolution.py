@@ -120,7 +120,7 @@ def test_evolve_density_preserves_spectrum(p5_transfer):
 def test_noisy_state_at_time_zero_is_projector(p5_transfer):
     spec, ops = p5_transfer
     psi0 = sender_state(spec)
-    rho = noisy_state(ops, psi0, rtn_channel(8), 0)
+    rho = noisy_state(ops, psi0, rtn_channel(), 0)
     assert np.abs(rho - np.outer(psi0, psi0.conj())).max() < 1e-14
 
 
@@ -130,7 +130,7 @@ def test_path_graph_noise_transparency(p5_transfer):
     spec, ops = p5_transfer
     psi0 = sender_state(spec)
     target = receiver_state(spec, "outgoing")
-    for channel in (rtn_channel(8), oun_channel(8)):
+    for channel in (rtn_channel(), oun_channel()):
         for t in range(0, 30):
             noiseless = fidelity_pure(evolve_pure(walk_step(spec), psi0, t), target)
             noisy = fidelity_pure_target(noisy_state(ops, psi0, channel, t), target)
@@ -143,7 +143,7 @@ def test_cycle_transfer_noise_reduces_fidelity_at_peak():
     psi0 = sender_state(spec)
     target = receiver_state(spec, "outgoing")
     noiseless = fidelity_pure(evolve_pure(walk_step(spec), psi0, 3), target)
-    noisy = fidelity_pure_target(noisy_state(ops, psi0, rtn_channel(12), 3), target)
+    noisy = fidelity_pure_target(noisy_state(ops, psi0, rtn_channel(), 3), target)
     assert noisy < noiseless
 
 
@@ -153,7 +153,7 @@ def test_basis_target_transparency_on_star():
     psi0 = sender_state(spec)
     target = receiver_state(spec, "outgoing")  # a single basis vector
     assert np.count_nonzero(target) == 1
-    for channel in (rtn_channel(10), oun_channel(10)):
+    for channel in (rtn_channel(), oun_channel()):
         for t in range(0, 40):
             noiseless = fidelity_pure(evolve_pure(walk_step(spec), psi0, t), target)
             noisy = fidelity_pure_target(noisy_state(ops, psi0, channel, t), target)
@@ -163,4 +163,4 @@ def test_basis_target_transparency_on_star():
 def test_noisy_state_rejects_dimension_mismatch(p5_transfer):
     spec, ops = p5_transfer
     with pytest.raises(ValueError, match="dimension"):
-        noisy_state(ops, sender_state(spec), rtn_channel(12), 3)
+        noisy_state(ops, np.ones(12) / np.sqrt(12), rtn_channel(), 3)

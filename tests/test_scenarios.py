@@ -55,6 +55,27 @@ def test_scenario_validation():
         Scenario(graph="path", size=(5,), sender=0, receiver=1, noise="oun", oun_gamma=0.0)
 
 
+def test_scenario_validates_with_the_channel_its_walk_uses(monkeypatch):
+    # the channel is its kernel alone, so construction and the walk build equal ones
+    import qwalk.scenarios
+
+    built = []
+    real = qwalk.scenarios._channel
+
+    def recording(sc, kind):
+        built.append(real(sc, kind))
+        return built[-1]
+
+    monkeypatch.setattr(qwalk.scenarios, "_channel", recording)
+    for noise, expected in (("rtn", rtn_channel(a=0.3, gamma=0.05)),
+                            ("oun", oun_channel(lam=0.7, gamma=0.2))):
+        built.clear()
+        sc = Scenario(graph="cycle", size=(6,), sender=0, receiver=3, noise=noise, steps=30,
+                      rtn_a=0.3, rtn_gamma=0.05, oun_lambda=0.7, oun_gamma=0.2)
+        assert run_scenario(sc).steps == 30
+        assert built == [expected, expected]  # Scenario.__post_init__, then _walk
+
+
 def test_periodicity_forces_receiver():
     sc = Scenario(graph="path", size=(5,), sender=2, mode="periodicity")
     assert sc.receiver == 2
@@ -231,12 +252,13 @@ def test_noisy_series_matches_dense_channel_at_every_step(tmp_path):
         target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
         sigma = np.outer(target, target.conj())
         if sc.noise == "rtn":
-            channel = rtn_channel(ops.dim, a=sc.rtn_a, gamma=sc.rtn_gamma)
+            channel = rtn_channel(a=sc.rtn_a, gamma=sc.rtn_gamma)
         else:
-            channel = oun_channel(ops.dim, lam=sc.oun_lambda, gamma=sc.oun_gamma)
+            channel = oun_channel(lam=sc.oun_lambda, gamma=sc.oun_gamma)
         rho = np.outer(psi, psi.conj())
         for t in range(sc.steps + 1):
-            dense = fidelity_density(dense_apply_channel(rho, dense_kraus_set(channel, t)), sigma)
+            ks = dense_kraus_set(channel, t, ops.dim)
+            dense = fidelity_density(dense_apply_channel(rho, ks), sigma)
             assert abs(series.noisy[t] - dense) <= 1e-12, (name, t)
             rho = ops.unitary @ rho @ ops.unitary.conj().T
 
@@ -410,10 +432,10 @@ def test_cross_check_equals_the_support_block_route_at_every_step(monkeypatch):
     real = qwalk.scenarios._dense_fidelity
     sizes, worst = set(), 0.0
 
-    def spy(channel, t, a, support, phi):
+    def spy(channel, t, dim, a, support, phi):
         nonlocal worst
-        value = real(channel, t, a, support, phi)
-        worst = max(worst, abs(value - support_block_fidelity(channel, t, a, support, phi)))
+        value = real(channel, t, dim, a, support, phi)
+        worst = max(worst, abs(value - support_block_fidelity(channel, t, dim, a, support, phi)))
         sizes.add(len(support))
         return value
 
@@ -436,9 +458,9 @@ def test_cross_check_reads_only_the_target_support_block(monkeypatch, tmp_path):
     real = qwalk.scenarios._dense_fidelity
     seen: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
 
-    def spy(channel, t, a, support, phi):
+    def spy(channel, t, dim, a, support, phi):
         seen.append((len(support), np.shape(a), np.shape(phi)))
-        return real(channel, t, a, support, phi)
+        return real(channel, t, dim, a, support, phi)
 
     monkeypatch.setattr(qwalk.scenarios, "_dense_fidelity", spy)
     graph = _write_graph_file(tmp_path / "g.txt", 9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
@@ -472,8 +494,8 @@ def test_cross_check_skips_the_dense_route_when_psi_misses_the_support(monkeypat
     real = qwalk.scenarios._dense_fidelity
     checked: dict[int, float] = {}
 
-    def spy(channel, t, a, support, phi):
-        checked[t] = real(channel, t, a, support, phi)
+    def spy(channel, t, dim, a, support, phi):
+        checked[t] = real(channel, t, dim, a, support, phi)
         return checked[t]
 
     monkeypatch.setattr(qwalk.scenarios, "_dense_fidelity", spy)
@@ -486,7 +508,7 @@ def test_cross_check_skips_the_dense_route_when_psi_misses_the_support(monkeypat
 
 
 def _other_kernel(channel, n):
-    other = oun_channel(channel.dim) if channel.kind == "rtn" else rtn_channel(channel.dim)
+    other = oun_channel() if channel.kind == "rtn" else rtn_channel()
     return _kernel_series(other, n)
 
 
