@@ -10,6 +10,7 @@ the whole basis is described by two index arrays (:class:`DirectedEdgeSpace`).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -266,13 +267,32 @@ def _parse_int(field: str, lineno: int, raw: str) -> int:
         raise ValueError(f"line {lineno}: expected an integer, got {field!r} in {raw!r}") from None
 
 
+# The plain form of a graph file: the vertex count alone on the first line,
+# then one "u v" edge per line, in ASCII digits and single spaces, every line
+# ending in "\n". At most 18 digits keep every value inside int64.
+_PLAIN_GRAPH_FILE = re.compile(r"[0-9]{1,18}\n(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+
+
 def parse_graph_file(text: str) -> Graph:
     """Parse the plain-text graph format.
 
     First non-comment line is the vertex count ``n``; each further line is
     one undirected edge ``u v``. ``#`` starts a comment (full line or
     trailing); blank lines are ignored.
+
+    A file in the plain form (no comments, blank lines, tabs, signs or
+    carriage returns) is read in bulk, one ``split`` into one integer array;
+    any other text goes line by line, which also words every line-numbered
+    error. Both routes give the same :class:`Graph` or the same message.
     """
+    if _PLAIN_GRAPH_FILE.fullmatch(text):
+        values = np.array(text.split(), dtype=np.int64)
+        return build_graph(int(values[0]), values[1:].reshape(-1, 2))
+    return _parse_graph_lines(text)
+
+
+def _parse_graph_lines(text: str) -> Graph:
+    """:func:`parse_graph_file` one line at a time: any text, line-numbered errors."""
     n: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

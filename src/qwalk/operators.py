@@ -106,9 +106,21 @@ class WalkStep:
         return len(self.reverse_of)
 
     def __call__(self, psi: np.ndarray) -> np.ndarray:
-        """``U @ psi`` on a ``(dim,)`` state or a ``(dim, k)`` block (``.T`` puts arcs last)."""
-        block_means = (np.add.reduceat(psi, self.starts).T * self.two_over_degree).T
-        return (self.sign * (block_means[self.block_of] - psi).T).T[self.reverse_of]
+        """``U @ psi`` on a ``(dim,)`` state or a ``(dim, k)`` block (``.T`` puts arcs last).
+
+        Computes ``(sign * (2/deg * block_sum[block_of] - psi))[reverse_of]``
+        with the factors applied in place on the step's own temporaries: the
+        same IEEE operations, zero signs included, in three allocations.
+        ``psi`` is not modified.
+        """
+        block_means = np.add.reduceat(psi, self.starts)
+        view = block_means.T  # ``*=`` on the view scales block_means in place
+        view *= self.two_over_degree
+        coined = block_means[self.block_of]
+        coined -= psi
+        view = coined.T
+        view *= self.sign
+        return coined[self.reverse_of]
 
 
 def walk_step(spec: WalkSpec) -> WalkStep:

@@ -12,8 +12,10 @@ channel output as a ``dim x dim`` matrix, which the library's closed-form
 noisy fidelity never does; ``noisy_state`` applies the channel as a sum of
 dense Weyl-matrix Kraus products (``weyl_operator``, ``dense_kraus_set``,
 ``dense_apply_channel``), where the library stores only the diagonals.
-``reference_graph`` and ``reference_edge_space`` are the tuple/set/dict
-graph layer the array-native one replaced. ``dephased_fidelity`` and
+``reference_step`` is the walk step as it was before it applied its factors
+in place on its own temporaries. ``reference_graph`` and
+``reference_edge_space`` are the tuple/set/dict graph layer the
+array-native one replaced. ``dephased_fidelity`` and
 ``stepwise_series`` are the per-state closed form and the per-step readout
 loop that the runner's single overlap pass and combine step replaced.
 ``support_block_fidelity`` is the runner's former stride-25 cross-check: the
@@ -53,6 +55,7 @@ from qwalk.operators import (
     _check_pure,
     WalkOperators,
     WalkSpec,
+    WalkStep,
     receiver_state,
     sender_state,
     walk_spec,
@@ -222,6 +225,12 @@ def dense_walk_operators(spec: WalkSpec) -> WalkOperators:
     coin = coin_operator(spec)
     shift = shift_operator(spec.space)
     return WalkOperators(coin=coin, shift=shift, unitary=shift @ coin)
+
+
+def reference_step(step: WalkStep, psi: np.ndarray) -> np.ndarray:
+    """``step(psi)`` as one expression of fresh arrays, each factor applied out of place."""
+    block_means = (np.add.reduceat(psi, step.starts).T * step.two_over_degree).T
+    return (step.sign * (block_means[step.block_of] - psi).T).T[step.reverse_of]
 
 
 def power_evolved(unitary, psi0, t: int) -> np.ndarray:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from qwalk.graphs import (
+    _PLAIN_GRAPH_FILE,
+    _parse_graph_lines,
     build_graph,
     complete_bipartite_graph,
     cycle_graph,
@@ -303,6 +307,42 @@ def test_parse_graph_file_errors():
 )
 def test_parse_graph_file_names_line_of_bad_integer(text, lineno, field):
     with pytest.raises(ValueError, match=f"^line {lineno}: expected an integer, got '{field}'"):
+        parse_graph_file(text)
+
+
+_C11 = "11\n" + "".join(f"{i} {(i + 1) % 11}\n" for i in range(11))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# C11\n" + _C11,
+        _C11.replace("5 6\n", "5 6  # trailing\n"),
+        _C11.replace("\n", "\r\n"),
+        _C11.replace(" ", "\t"),
+        _C11.replace("3 4\n", "+3 4\n"),
+        _C11.replace("9 10\n", "9 1_0\n"),
+        _C11.replace("10 0\n", "0000000000000000010 0\n"),
+        _C11[:-1],
+        _C11.replace("\n", "\n\n", 1),
+    ],
+    ids=["comment_line", "trailing_comment", "crlf", "tabs", "plus_sign", "underscore",
+         "19_digits", "no_final_newline", "blank_line"],
+)
+def test_other_forms_parse_line_by_line_to_the_plain_forms_graph(text):
+    assert _PLAIN_GRAPH_FILE.fullmatch(_C11)
+    assert not _PLAIN_GRAPH_FILE.fullmatch(text)
+    assert parse_graph_file(text) == parse_graph_file(_C11) == cycle_graph(11)
+
+
+@pytest.mark.parametrize("digits", [18, 19, 20])
+def test_long_endpoints_give_the_line_parsers_message(digits):
+    # 18 digits fit int64 and take the bulk route; longer ones go line by line
+    text = _C11 + f"0 {'9' * digits}\n"
+    assert bool(_PLAIN_GRAPH_FILE.fullmatch(text)) == (digits <= 18)
+    with pytest.raises(ValueError) as expected:
+        _parse_graph_lines(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
         parse_graph_file(text)
 
 

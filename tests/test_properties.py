@@ -2,8 +2,9 @@
 
 The array graph layer is checked against the reference; the matrix-free
 step, and ``walk_unitary`` bitwise (signs of zero included), against the
-dense Grover assembly; and the scenario parsers and runner against their
-contracts (only ``ValueError`` on bad input, fidelities in [0, 1], a state
+dense Grover assembly, and the in-place step bitwise against its
+out-of-place expression; the bulk graph-file parse against the line parser;
+and the scenario parsers and runner against their contracts (only ``ValueError`` on bad input, fidelities in [0, 1], a state
 norm within 1e-10 of 1 after 10^4 steps).
 
 Every property runs derandomized (the examples are a function of the test
@@ -22,7 +23,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from qwalk.operators import NORM_ATOL, evolve_pure
-from qwalk.graphs import build_graph, edge_space, parse_graph_file
+from qwalk.graphs import (
+    _PLAIN_GRAPH_FILE,
+    Graph,
+    _parse_graph_lines,
+    build_graph,
+    edge_space,
+    parse_graph_file,
+)
 from qwalk.operators import receiver_state, sender_state, walk_spec, walk_step, walk_unitary
 from qwalk.scenarios import (
     Scenario,
@@ -38,6 +46,7 @@ from .oracles import (
     random_pure,
     reference_edge_space,
     reference_graph,
+    reference_step,
 )
 
 
@@ -167,6 +176,58 @@ def test_walk_step_on_a_block_equals_stepping_each_column(graph_input, k, data):
     assert stepped.shape == (step.dim, k)
     for j in range(k):
         assert stepped[:, j].tobytes() == step(block[:, j]).tobytes(), j
+
+
+def _bits(a: np.ndarray) -> tuple[bytes, bytes]:
+    """The bytes of ``a`` and of its sign bits: equal bytes can still differ in ``-0.0``."""
+    return a.tobytes(), np.signbit(a.view(float) if a.dtype == complex else a).tobytes()
+
+
+@_settings(max_examples=100)
+@given(graph_inputs(), st.integers(1, 4), st.data())
+def test_in_place_step_equals_the_out_of_place_expression_bitwise(graph_input, k, data):
+    n, edges = graph_input
+    sender = data.draw(st.integers(0, n - 1), label="sender")
+    receiver = data.draw(st.integers(0, n - 1), label="receiver")
+    step = walk_step(walk_spec(build_graph(n, edges), sender, receiver))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    block = rng.normal(size=(step.dim, k)) + 1j * rng.normal(size=(step.dim, k))
+    # zeros of both signs in either part, so the step's own zeros meet signed ones
+    floats = block.view(float)
+    floats[rng.random(floats.shape) < 0.3] = 0.0
+    floats[rng.random(floats.shape) < 0.3] *= -1.0
+    for psi in (block[:, 0].copy(), block, np.eye(step.dim)):
+        before = _bits(psi)
+        assert _bits(step(psi)) == _bits(reference_step(step, psi))
+        assert _bits(psi) == before  # the input is not mutated
+
+
+_DIGITS = st.integers(0, 30).map(str) | st.integers(0, 30).map(lambda v: f"{v:03d}")
+
+
+@st.composite
+def plain_graph_files(draw):
+    """Graph files in the plain form: loops, repeats and out-of-range endpoints included."""
+    n = draw(st.integers(0, 25))
+    edges = draw(st.lists(st.tuples(_DIGITS, _DIGITS), max_size=40))
+    return f"{n}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+@_settings(max_examples=300)
+@given(plain_graph_files() | graph_inputs().map(
+    lambda g: f"{g[0]}\n" + "".join(f"{u} {v}\n" for u, v in g[1])))
+def test_bulk_parse_equals_the_line_parser(text):
+    assert _PLAIN_GRAPH_FILE.fullmatch(text)  # the bulk route is the one under test
+    expected = _parse_outcome(_parse_graph_lines, text)
+    event("accepted" if isinstance(expected, Graph) else "rejected")
+    assert _parse_outcome(parse_graph_file, text) == expected
 
 
 @_settings(max_examples=60)

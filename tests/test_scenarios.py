@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from qwalk.channels import _kernel_series, oun_channel, rtn_channel
-from qwalk.graphs import path_graph
-from qwalk.operators import receiver_state, sender_state, walk_spec
+from qwalk.graphs import path_graph, star_graph
+from qwalk.operators import NORM_ATOL, evolve_pure, receiver_state, sender_state, walk_spec, walk_step
 from qwalk.scenarios import (
+    _NORM_DRIFT_PER_STEP,
     MAX_STEPS,
     FidelitySeries,
     Scenario,
@@ -132,6 +133,47 @@ def test_fidelity_series_validation():
     series = FidelitySeries(noiseless=np.array([0.5, 0.25]))
     with pytest.raises(ValueError):
         series.noiseless[0] = 0.9
+
+
+def test_fidelity_series_allows_the_round_off_of_its_walks_norm_drift():
+    # |<phi|psi_T>|^2 may exceed 1 by twice the norm drift a T-step walk may show
+    over = 1.0 + 1e-9
+    with pytest.raises(ValueError, match="outside"):
+        FidelitySeries(noiseless=np.r_[np.full(100, 0.5), over])
+    assert FidelitySeries(noiseless=np.r_[np.full(10**6, 0.5), over]).noiseless[-1] == 1.0
+
+
+def _drift_bound(steps: int) -> float:
+    return NORM_ATOL + _NORM_DRIFT_PER_STEP * steps
+
+
+def test_norm_drift_bound_covers_the_measured_linear_drift():
+    # S6 1->0 drifts linearly, about 0.12 eps per step: 2.7e-12 at 10^5 steps
+    steps = 10**5
+    spec = walk_spec(star_graph(6), 1, 0)
+    psi = evolve_pure(walk_step(spec), sender_state(spec), steps)
+    drift = abs(float(np.linalg.norm(psi)) - 1.0)
+    assert 1e-12 < drift < _drift_bound(steps) / 10
+    # the bound at the longest run exceeds the drift extrapolated linearly to it
+    assert drift * MAX_STEPS / steps < _drift_bound(MAX_STEPS) / 10
+    # and a steady norm change of 1e-14 per step overtakes the bound within the longest run
+    assert 1e-14 * MAX_STEPS > _drift_bound(MAX_STEPS)
+
+
+def test_norm_drift_guard_flags_a_steady_change_of_1e_14_per_step(monkeypatch):
+    import qwalk.scenarios
+
+    real_walk_step = qwalk.scenarios.walk_step
+
+    def leaky_walk_step(spec):
+        step = real_walk_step(spec)
+        return lambda psi: step(psi) * (1.0 + 1e-14)
+
+    monkeypatch.setattr(qwalk.scenarios, "walk_step", leaky_walk_step)
+    sc = Scenario(graph="path", size=(5,), sender=0, receiver=4, steps=20_000)
+    # (1 + 1e-14)**20000 - 1 = 2e-10, above NORM_ATOL + 4 eps * 20000 = 1.18e-10
+    with pytest.raises(RuntimeError, match=r"drifted by 2e-10 over 20000 steps \(bound 1.18e-10\)"):
+        run_scenario(sc)
 
 
 def test_case_study_composition():
