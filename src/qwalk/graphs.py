@@ -269,8 +269,9 @@ def _parse_int(field: str, lineno: int, raw: str) -> int:
 
 # The plain form of a graph file: the vertex count alone on the first line,
 # then one "u v" edge per line, in ASCII digits and single spaces, every line
-# ending in "\n". At most 18 digits keep every value inside int64.
-_PLAIN_GRAPH_FILE = re.compile(r"[0-9]{1,18}\n(?:[0-9]{1,18} [0-9]{1,18}\n)*")
+# ending in "\n". At most 18 digits keep every value inside int64. ``re``
+# compiles it on first use, not at import.
+_PLAIN_GRAPH_FILE = r"[0-9]{1,18}\n(?:[0-9]{1,18} [0-9]{1,18}\n)*"
 
 
 def parse_graph_file(text: str) -> Graph:
@@ -285,7 +286,7 @@ def parse_graph_file(text: str) -> Graph:
     any other text goes line by line, which also words every line-numbered
     error. Both routes give the same :class:`Graph` or the same message.
     """
-    if _PLAIN_GRAPH_FILE.fullmatch(text):
+    if re.fullmatch(_PLAIN_GRAPH_FILE, text):
         values = np.array(text.split(), dtype=np.int64)
         return build_graph(int(values[0]), values[1:].reshape(-1, 2))
     return _parse_graph_lines(text)

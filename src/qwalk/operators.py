@@ -111,7 +111,7 @@ class WalkStep:
         Computes ``(sign * (2/deg * block_sum[block_of] - psi))[reverse_of]``
         with the factors applied in place on the step's own temporaries: the
         same IEEE operations, zero signs included, in three allocations.
-        ``psi`` is not modified.
+        ``psi`` (float or complex) is not modified.
         """
         block_means = np.add.reduceat(psi, self.starts)
         view = block_means.T  # ``*=`` on the view scales block_means in place

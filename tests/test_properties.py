@@ -4,8 +4,9 @@ The array graph layer is checked against the reference; the matrix-free
 step, and ``walk_unitary`` bitwise (signs of zero included), against the
 dense Grover assembly, and the in-place step bitwise against its
 out-of-place expression; the bulk graph-file parse against the line parser;
-and the scenario parsers and runner against their contracts (only ``ValueError`` on bad input, fidelities in [0, 1], a state
-norm within 1e-10 of 1 after 10^4 steps).
+and the scenario parsers and runner against their contracts (only
+``ValueError`` on bad input, fidelities in [0, 1], a state norm within 1e-10
+of 1 after 10^4 steps).
 
 Every property runs derandomized (the examples are a function of the test
 alone) and without the example database, so a run is reproducible.
@@ -14,6 +15,7 @@ alone) and without the example database, so a run is reproducible.
 from __future__ import annotations
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -224,7 +226,7 @@ def _parse_outcome(parse, text):
 @given(plain_graph_files() | graph_inputs().map(
     lambda g: f"{g[0]}\n" + "".join(f"{u} {v}\n" for u, v in g[1])))
 def test_bulk_parse_equals_the_line_parser(text):
-    assert _PLAIN_GRAPH_FILE.fullmatch(text)  # the bulk route is the one under test
+    assert re.fullmatch(_PLAIN_GRAPH_FILE, text)  # the bulk route is the one under test
     expected = _parse_outcome(_parse_graph_lines, text)
     event("accepted" if isinstance(expected, Graph) else "rejected")
     assert _parse_outcome(parse_graph_file, text) == expected
