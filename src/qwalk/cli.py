@@ -8,7 +8,6 @@ other exception). Every error is one line on stderr, never a traceback.
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from pathlib import Path
 
@@ -40,9 +39,6 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--receiver", help="receiver vertex")
 
 
-# Built on first use and shared by every main() call in the process: building
-# it costs more than a small walk, and parse_args leaves no state in it.
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwalk",

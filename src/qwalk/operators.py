@@ -111,9 +111,12 @@ class WalkStep:
         Computes ``(sign * (2/deg * block_sum[block_of] - psi))[reverse_of]``
         with the factors applied in place on the step's own temporaries: the
         same IEEE operations, zero signs included, in three allocations.
-        ``psi`` (float or complex) is not modified.
+        ``psi`` is not modified. The sums are taken in ``psi``'s dtype and then
+        promoted with the float64 factors, so an integer or single-precision
+        input gives float64 or complex128, as the expression does.
         """
-        block_means = np.add.reduceat(psi, self.starts)
+        working = np.result_type(psi, self.two_over_degree)
+        block_means = np.add.reduceat(psi, self.starts).astype(working, copy=False)
         view = block_means.T  # ``*=`` on the view scales block_means in place
         view *= self.two_over_degree
         coined = block_means[self.block_of]

@@ -127,9 +127,15 @@ class Scenario:
 SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
 
 
-def clamp_fidelity(values, window: float = CLAMP_WINDOW):
-    """Clamp raw fidelities into ``[0, 1]``; NaN, or a value ``window`` outside, raises."""
+def clamp_fidelity(values):
+    """Clamp raw fidelities into ``[0, 1]``; NaN, or a value beyond round-off, raises.
+
+    Round-off is ``CLAMP_WINDOW`` for one value. A series of ``T + 1`` values
+    (steps ``0 .. T``) also allows twice the norm drift a ``T``-step walk may
+    show, as ``|<phi|psi_t>|^2`` can exceed 1 by twice ``|‖psi_t‖ - 1|``.
+    """
     values = np.asarray(values, dtype=float)
+    window = CLAMP_WINDOW + 2 * _NORM_DRIFT_PER_STEP * max(values.size - 1, 0)
     outside = ~((values >= -window) & (values <= 1.0 + window))
     if outside.any():
         raise ValueError(f"fidelity {values[outside].flat[0]:.12g} outside [0, 1] beyond round-off")
@@ -141,9 +147,7 @@ class FidelitySeries:
     """Per-step fidelities for ``t = 0 .. steps``; ``noisy`` is None without noise.
 
     The one place a fidelity is clamped into ``[0, 1]``, or rejected beyond
-    round-off (:func:`clamp_fidelity`), a whole series at a time. Round-off
-    is ``CLAMP_WINDOW`` plus twice the norm drift that ``steps`` steps may
-    show: ``|<phi|psi_t>|^2`` can exceed 1 by twice ``|‖psi_t‖ - 1|``.
+    round-off (:func:`clamp_fidelity`), a whole series at a time.
     """
 
     noiseless: np.ndarray
@@ -154,8 +158,7 @@ class FidelitySeries:
             values = getattr(self, name)
             if values is None:
                 continue
-            window = CLAMP_WINDOW + 2 * _NORM_DRIFT_PER_STEP * (np.size(values) - 1)
-            values = clamp_fidelity(values, window)
+            values = clamp_fidelity(values)
             if values.ndim != 1 or len(values) < 1:
                 raise ValueError(f"{name} series must be a nonempty vector")
             values.flags.writeable = False

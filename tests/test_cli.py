@@ -518,39 +518,3 @@ def test_run_checks_the_rtn_phase_at_the_horizon_before_building(tmp_path, capsy
     assert main(argv + ["--steps", "100", "--out", str(tmp_path / "short")]) == 0
     assert len(list((tmp_path / "short").iterdir())) == 2
 
-
-def test_successive_calls_share_one_parser_and_leak_nothing(tmp_path, capsys):
-    import qwalk.cli
-
-    assert qwalk.cli._build_parser() is qwalk.cli._build_parser()
-    walk = ["run", "--graph", "path", "--size", "5", "--sender", "0", "--receiver", "4",
-            "--steps", "4", "--name", "p5"]
-    assert main([*walk, "--noise", "rtn", "--out", str(tmp_path / "rtn")]) == 0
-    noisy = [row.split(",")[2] for row in (tmp_path / "rtn" / "p5.csv").read_text().splitlines()]
-    assert len(noisy) == 6 and all(noisy)
-    assert main([*walk, "--out", str(tmp_path / "plain")]) == 0
-    noisy = [row.split(",")[2] for row in (tmp_path / "plain" / "p5.csv").read_text().splitlines()]
-    assert noisy[1:] == [""] * 5  # no noise: an empty noisy column
-
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--graph", "path", "--bogus", "1", "--out", str(tmp_path / "bad")])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
-    assert main([*walk, "--out", str(tmp_path / "after")]) == 0
-    assert (tmp_path / "after" / "p5.csv").read_bytes() == (tmp_path / "plain" / "p5.csv").read_bytes()
-
-
-def test_run_help_of_the_shared_parser_equals_a_fresh_parsers(capsys):
-    import qwalk.cli
-
-    helps = []
-    for parser in (qwalk.cli._build_parser(), qwalk.cli._build_parser.__wrapped__()):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(["run", "--help"])
-        assert exc.value.code == 0
-        helps.append(capsys.readouterr().out)
-    with pytest.raises(SystemExit):
-        main(["run", "--help"])
-    helps.append(capsys.readouterr().out)
-    assert "--receiver-mode" in helps[0]
-    assert helps[0] == helps[1] == helps[2]

@@ -180,9 +180,10 @@ def test_walk_step_on_a_block_equals_stepping_each_column(graph_input, k, data):
         assert stepped[:, j].tobytes() == step(block[:, j]).tobytes(), j
 
 
-def _bits(a: np.ndarray) -> tuple[bytes, bytes]:
-    """The bytes of ``a`` and of its sign bits: equal bytes can still differ in ``-0.0``."""
-    return a.tobytes(), np.signbit(a.view(float) if a.dtype == complex else a).tobytes()
+def _bits(a: np.ndarray) -> tuple[np.dtype, bytes, bytes]:
+    """The dtype and bytes of ``a`` and its sign bits: equal bytes can still differ in ``-0.0``."""
+    parts = a.view(a.real.dtype) if np.iscomplexobj(a) else a
+    return a.dtype, a.tobytes(), np.signbit(parts).tobytes()
 
 
 @_settings(max_examples=100)
@@ -198,7 +199,10 @@ def test_in_place_step_equals_the_out_of_place_expression_bitwise(graph_input, k
     floats = block.view(float)
     floats[rng.random(floats.shape) < 0.3] = 0.0
     floats[rng.random(floats.shape) < 0.3] *= -1.0
-    for psi in (block[:, 0].copy(), block, np.eye(step.dim)):
+    # integer and single-precision inputs are promoted as by the expression
+    ints = rng.integers(-3, 4, size=(step.dim, k))
+    for psi in (block[:, 0].copy(), block, np.eye(step.dim), ints, ints[:, 0].copy(),
+                block.astype(np.complex64), np.eye(step.dim, dtype=np.float32)):
         before = _bits(psi)
         assert _bits(step(psi)) == _bits(reference_step(step, psi))
         assert _bits(psi) == before  # the input is not mutated
