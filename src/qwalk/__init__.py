@@ -28,12 +28,9 @@ from .graphs import (
 )
 from .operators import (
     WalkOperators,
-    WalkSpec,
     WalkStep,
-    evolve_pure,
     receiver_state,
     sender_state,
-    walk_spec,
     walk_step,
     walk_unitary,
 )
@@ -61,10 +58,8 @@ __all__ = [
     "edge_space",
     "parse_graph_file",
     "load_graph_file",
-    "WalkSpec",
     "WalkOperators",
     "WalkStep",
-    "walk_spec",
     "walk_unitary",
     "walk_step",
     "sender_state",
@@ -73,7 +68,6 @@ __all__ = [
     "rtn_channel",
     "oun_channel",
     "kraus_set",
-    "evolve_pure",
     "Scenario",
     "FidelitySeries",
     "run_scenario",

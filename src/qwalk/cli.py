@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from .operators import walk_spec, walk_unitary
+from .operators import walk_step, walk_unitary
 from .output import render_svg, write_csv, write_matrix_csv
 from .scenarios import (
     SCENARIO_KEYS,
+    Scenario,
     default_name,
     paper_suite,
     parse_scenario_config,
@@ -48,6 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {f.name: f.default for f in fields(Scenario)}  # the values a run uses
 
     run = sub.add_parser("run", help="run one scenario and write its CSV/SVG outputs")
     run.add_argument("--config", help="scenario config file (flat 'key = value' lines)")
@@ -56,14 +59,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--receiver-mode",
         choices=["incoming", "outgoing"],
-        help="receiver-state convention (default incoming)",
+        help=f"receiver-state convention (default {defaults['receiver_mode']})",
     )
     run.add_argument("--noise", choices=["none", "rtn", "oun"], help="noise channel")
-    run.add_argument("--rtn-a", help="telegraph transition amplitude (default 0.1)")
-    run.add_argument("--rtn-gamma", help="telegraph damping rate (default 0.01)")
-    run.add_argument("--oun-lambda", help="OU relaxation parameter (default 1)")
-    run.add_argument("--oun-gamma", help="OU noise bandwidth (default 0.05)")
-    run.add_argument("--steps", help="number of walk steps (default 100)")
+    for key, text in (
+        ("rtn_a", "telegraph transition amplitude"), ("rtn_gamma", "telegraph damping rate"),
+        ("oun_lambda", "OU relaxation parameter"), ("oun_gamma", "OU noise bandwidth"),
+        ("steps", "number of walk steps"),
+    ):
+        run.add_argument("--" + key.replace("_", "-"), help=f"{text} (default {defaults[key]:g})")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--name", help="basename for the output files (default: derived)")
 
@@ -131,13 +135,13 @@ def _dump_command(args: argparse.Namespace) -> int:
     if args.size is None and not args.graph.startswith("file:"):
         raise ValueError(f"graph family {args.graph!r} requires --size")
     scenario = scenario_from_mapping(_flag_mapping(args))
-    spec = walk_spec(scenario_graph(scenario), scenario.sender, scenario.receiver)
-    if spec.space.dim > DUMP_MAX_DIM:
+    graph = scenario_graph(scenario)
+    if 2 * graph.m > DUMP_MAX_DIM:
         raise ValueError(
             f"dump-operators writes dense matrices only up to walk dimension "
-            f"{DUMP_MAX_DIM}; this graph has {spec.space.dim}"
+            f"{DUMP_MAX_DIM}; this graph has {2 * graph.m}"
         )
-    ops = walk_unitary(spec)
+    ops = walk_unitary(walk_step(graph, scenario.sender, scenario.receiver))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -262,9 +262,12 @@ def edge_space(g: Graph) -> DirectedEdgeSpace:
 
 def _parse_int(field: str, lineno: int, raw: str) -> int:
     try:
-        return int(field)
+        value = int(field)
     except ValueError:
         raise ValueError(f"line {lineno}: expected an integer, got {field!r} in {raw!r}") from None
+    if not -(2**63) <= value < 2**63:  # numpy would not read it as an integer
+        raise ValueError(f"line {lineno}: integer {field!r} in {raw!r} does not fit in int64")
+    return value
 
 
 # The plain form of a graph file: the vertex count alone on the first line,

@@ -6,13 +6,13 @@ negated (once each; a vertex that is both sender and receiver is negated
 exactly once). The shift is the permutation that reverses every directed
 edge, and one walk step is ``shift @ coin``.
 
-:func:`walk_step` is the one definition of that step, matrix-free in
-``O(2m)``: the coin in arc order (one ``np.add.reduceat`` block sum), then
-the shift as one gather by ``reverse_of``, on a state or a block of states.
-The runner iterates it, as :func:`evolve_pure` does on a given state;
-:func:`walk_unitary` applies it to the identity block for ``dump-operators``
-and reads the shift and the coin off the dense step. The tests check both
-against the per-vertex Grover assembly in ``tests/oracles.py``.
+:func:`walk_step` builds the walk on a graph with two marked vertices: the
+step, matrix-free in ``O(2m)``, as the coin in arc order (one
+``np.add.reduceat`` block sum), then the shift as one gather by
+``reverse_of``. The runner iterates it, ``psi = step(psi)``; the boundary
+states read their arcs off it; :func:`walk_unitary` applies it to the
+identity block for ``dump-operators``. The tests check both against the
+per-vertex Grover assembly in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,16 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import DirectedEdgeSpace, Graph, edge_space
+from .graphs import Graph, edge_space
 
 __all__ = [
-    "WalkSpec",
     "WalkOperators",
     "WalkStep",
-    "walk_spec",
     "walk_unitary",
     "walk_step",
-    "evolve_pure",
     "sender_state",
     "receiver_state",
 ]
@@ -41,37 +38,12 @@ NORM_ATOL = 1e-10  # |‖psi‖ - 1| of a pure state
 
 
 @dataclass(frozen=True)
-class WalkSpec:
-    """A walk instance: graph, its edge basis, and the two marked vertices.
-
-    ``sender == receiver`` is allowed and denotes a periodicity experiment.
-    """
-
-    graph: Graph
-    space: DirectedEdgeSpace
-    sender: int
-    receiver: int
-
-    def __post_init__(self) -> None:
-        for label, v in (("sender", self.sender), ("receiver", self.receiver)):
-            if not 0 <= v < self.graph.n:
-                raise ValueError(f"{label} vertex {v} outside 0..{self.graph.n - 1}")
-
-
-def walk_spec(graph: Graph, sender: int, receiver: int) -> WalkSpec:
-    """Build a :class:`WalkSpec` with the edge space derived from the graph."""
-    return WalkSpec(graph=graph, space=edge_space(graph), sender=sender, receiver=receiver)
-
-
-@dataclass(frozen=True)
 class WalkOperators:
     """Materialized coin, shift and one-step unitary (all ``2m x 2m``).
 
-    The arrays are real and marked read-only; :func:`walk_unitary` derives
-    them from :class:`WalkStep` and verifies ``coin @ coin == I``,
-    ``shift @ shift == I`` and unitarity of the step operator to ``1e-12``.
-    This dense form serves ``dump-operators``; runs apply the matrix-free
-    :class:`WalkStep`.
+    The arrays are real and read-only; :func:`walk_unitary` reads them off a
+    :class:`WalkStep` and verifies ``coin @ coin == I``, ``shift @ shift == I``
+    and unitarity of the step to ``1e-12``. Only ``dump-operators`` needs them.
     """
 
     coin: np.ndarray
@@ -91,8 +63,8 @@ class WalkStep:
     its outgoing-edge block) and ``two_over_degree`` (``2 / deg``); per arc,
     ``block_of`` (the vertex that owns it) and ``sign`` (that vertex's coin
     sign). The shift is one last gather: entry ``j`` of the new state is the
-    coined amplitude of arc ``reverse_of[j]``. All arrays are read-only;
-    build instances with :func:`walk_step`.
+    coined amplitude of arc ``reverse_of[j]``. ``sender`` and ``receiver`` are
+    the marked vertices. The arrays are read-only; :func:`walk_step` builds it.
     """
 
     starts: np.ndarray
@@ -100,6 +72,8 @@ class WalkStep:
     block_of: np.ndarray
     sign: np.ndarray
     reverse_of: np.ndarray
+    sender: int
+    receiver: int
 
     @property
     def dim(self) -> int:
@@ -126,19 +100,22 @@ class WalkStep:
         return coined[self.reverse_of]
 
 
-def walk_step(spec: WalkSpec) -> WalkStep:
-    """Build the matrix-free step and verify its invariants in ``O(dim)``.
+def walk_step(graph: Graph, sender: int, receiver: int) -> WalkStep:
+    """The walk on ``graph`` with ``sender`` and ``receiver`` marked, verified in ``O(dim)``.
 
-    Checks that the outgoing-edge blocks tile ``[0, dim)`` in vertex order
-    with lengths equal to the degrees (all ``>= 1``), so every signed Grover
-    block is an involution; that ``reverse_of`` is a fixed-point-free
-    involution (``S @ S == I``); and that one step keeps the norm of a fixed
-    probe state to ``UNITARY_ATOL``. A violation raises ``RuntimeError``.
+    ``sender == receiver`` is a periodicity experiment; a mark outside ``0..n-1``
+    raises ``ValueError``. The outgoing-edge blocks must tile ``[0, dim)`` by
+    degree (all ``>= 1``), so every signed Grover block is an involution;
+    ``reverse_of`` must be a fixed-point-free involution (``S @ S == I``); one
+    step must keep a probe state's norm to ``UNITARY_ATOL``; else ``RuntimeError``.
     """
-    degrees, starts, reverse = spec.graph.degrees, spec.space.starts, spec.space.reverse_of
-    dim = spec.space.dim
+    for label, v in (("sender", sender), ("receiver", receiver)):
+        if not 0 <= v < graph.n:
+            raise ValueError(f"{label} vertex {v} outside 0..{graph.n - 1}")
+    space = edge_space(graph)
+    degrees, starts, reverse, dim = graph.degrees, space.starts, space.reverse_of, space.dim
     if (
-        starts.shape != (spec.graph.n + 1,)
+        starts.shape != (graph.n + 1,)
         or degrees.min() < 1
         or starts[0] != 0
         or starts[-1] != dim
@@ -156,15 +133,17 @@ def walk_step(spec: WalkSpec) -> WalkStep:
     ):
         raise RuntimeError("shift operator is not a fixed-point-free involution")
 
-    sign = np.ones(spec.graph.n)
-    sign[[spec.sender, spec.receiver]] = -1.0
-    block_of = np.repeat(np.arange(spec.graph.n), degrees)
+    sign = np.ones(graph.n)
+    sign[[sender, receiver]] = -1.0
+    block_of = np.repeat(np.arange(graph.n), degrees)
     step = WalkStep(
         starts=starts[:-1],
         two_over_degree=2.0 / degrees,
         block_of=block_of,
         sign=sign[block_of],
         reverse_of=reverse,
+        sender=sender,
+        receiver=receiver,
     )
     for a in (step.starts, step.two_over_degree, step.block_of, step.sign, step.reverse_of):
         a.flags.writeable = False
@@ -176,40 +155,16 @@ def walk_step(spec: WalkSpec) -> WalkStep:
     return step
 
 
-def _check_pure(psi, name: str) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1:
-        raise ValueError(f"{name} must be a vector, got shape {psi.shape}")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValueError(f"{name} is not normalized: |{name}| = {norm:.12g}")
-    return psi
-
-
-def evolve_pure(step: WalkStep, psi0, t: int) -> np.ndarray:
-    """Apply the walk step ``t`` times to a state normalized to within ``NORM_ATOL``."""
-    if t < 0:
-        raise ValueError(f"step count must be nonnegative, got {t}")
-    psi = _check_pure(psi0, "psi")
-    if psi.shape != (step.dim,):
-        raise ValueError(f"state has shape {psi.shape}, expected ({step.dim},)")
-    for _ in range(t):
-        psi = step(psi)
-    return psi
-
-
-def walk_unitary(spec: WalkSpec) -> WalkOperators:
-    """Materialise :func:`walk_step` as the dense coin, shift and step, and verify them.
+def walk_unitary(step: WalkStep) -> WalkOperators:
+    """Materialise the step as the dense coin, shift and step, and verify them.
 
     ``U = S @ C`` is the step applied to the identity block, column ``k`` to
     basis arc ``k``; ``S`` is the arc-reversal permutation and ``C = S @ U``.
     Costs ``O(dim^2)`` memory and ``O(dim^3)`` time for the checks.
     """
-    step = walk_step(spec)
-    eye = np.eye(spec.space.dim)
-    reverse = spec.space.reverse_of
+    eye = np.eye(step.dim)
+    reverse, block_of = step.reverse_of, step.block_of
     columns = step(eye)
-    block_of = np.repeat(np.arange(spec.graph.n), spec.graph.degrees)
     # The step negates zeros into -0.0 around marked vertices, and the dumps
     # print %.6f: keep the signs of the per-vertex Grover assembly, whose only
     # -0.0 sit on the diagonal of a negated degree-2 coin block.
@@ -227,15 +182,18 @@ def walk_unitary(spec: WalkSpec) -> WalkOperators:
     return WalkOperators(coin=coin, shift=shift, unitary=unitary)
 
 
-def sender_state(spec: WalkSpec) -> np.ndarray:
-    """Uniform superposition over the sender's outgoing-edge block."""
-    psi = np.zeros(spec.space.dim, dtype=complex)
-    start, stop = spec.space.starts[spec.sender : spec.sender + 2]
-    psi[start:stop] = 1.0 / np.sqrt(stop - start)
+def _uniform(dim: int, arcs: np.ndarray) -> np.ndarray:
+    psi = np.zeros(dim, dtype=complex)
+    psi[arcs] = 1.0 / np.sqrt(len(arcs))
     return psi
 
 
-def receiver_state(spec: WalkSpec, mode: str = "incoming") -> np.ndarray:
+def sender_state(step: WalkStep) -> np.ndarray:
+    """Uniform superposition over the sender's outgoing-edge block."""
+    return _uniform(step.dim, np.flatnonzero(step.block_of == step.sender))
+
+
+def receiver_state(step: WalkStep, mode: str = "incoming") -> np.ndarray:
     """Uniform superposition marking arrival at the receiver vertex.
 
     ``mode="incoming"`` (default) spreads the amplitude over the receiver's
@@ -246,8 +204,5 @@ def receiver_state(spec: WalkSpec, mode: str = "incoming") -> np.ndarray:
     """
     if mode not in RECEIVER_MODES:
         raise ValueError(f"receiver mode must be one of {RECEIVER_MODES}, got {mode!r}")
-    psi = np.zeros(spec.space.dim, dtype=complex)
-    start, stop = spec.space.starts[spec.receiver : spec.receiver + 2]
-    arcs = spec.space.reverse_of[start:stop] if mode == "incoming" else slice(start, stop)
-    psi[arcs] = 1.0 / np.sqrt(stop - start)
-    return psi
+    arcs = np.flatnonzero(step.block_of == step.receiver)
+    return _uniform(step.dim, step.reverse_of[arcs] if mode == "incoming" else arcs)

@@ -32,7 +32,7 @@ from .channels import (
     rtn_channel,
 )
 from .graphs import Graph, load_graph_file, standard_family
-from .operators import NORM_ATOL, RECEIVER_MODES, receiver_state, sender_state, walk_spec, walk_step
+from .operators import NORM_ATOL, RECEIVER_MODES, receiver_state, sender_state, walk_step
 
 __all__ = [
     "Scenario",
@@ -195,10 +195,9 @@ def _walk(sc: Scenario, kinds: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray 
     ``kinds``, ``checks[kind] = (channel, dense)`` where ``dense[i]`` is the
     Kraus-sum fidelity (:func:`_dense_fidelity`) at ``t = i * _CROSS_CHECK_STRIDE``.
     """
-    spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
-    step = walk_step(spec)
-    psi = sender_state(spec)
-    target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
+    step = walk_step(scenario_graph(sc), sc.sender, sc.receiver)
+    psi = sender_state(step)
+    target = psi if sc.mode == "periodicity" else receiver_state(step, sc.receiver_mode)
     support = np.flatnonzero(target)
     phi = target[support]
     checks = {kind: (_channel(sc, kind), []) for kind in kinds}
@@ -227,7 +226,7 @@ def _combine(sc: Scenario, kept: np.ndarray, flipped: np.ndarray | None,
              checks: _Checks) -> FidelitySeries:
     """Read a scenario's series out of its walk's overlaps, cross-checking the noisy one."""
     if sc.noise == "none":
-        return FidelitySeries(noiseless=kept)
+        return _walk_series(kept)
     channel, dense = checks[sc.noise]
     noisy = dephased_series(channel, kept, flipped)
     for t, value in zip(range(0, sc.steps + 1, _CROSS_CHECK_STRIDE), dense):
@@ -236,7 +235,14 @@ def _combine(sc: Scenario, kept: np.ndarray, flipped: np.ndarray | None,
                 f"fidelity cross-check failed at t={t}: "
                 f"closed form {noisy[t]:.12g} vs dense {value:.12g}"
             )
-    return FidelitySeries(noiseless=kept, noisy=noisy)
+    return _walk_series(kept, noisy)
+
+
+def _walk_series(kept: np.ndarray, noisy: np.ndarray | None = None) -> FidelitySeries:
+    try:
+        return FidelitySeries(noiseless=kept, noisy=noisy)
+    except ValueError as exc:  # a walk's fidelity beyond round-off: a numerical fault
+        raise RuntimeError(str(exc)) from None
 
 
 def run_scenario(sc: Scenario) -> FidelitySeries:

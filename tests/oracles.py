@@ -22,10 +22,11 @@ loop that the runner's single overlap pass and combine step replaced.
 channel applied to the ``|S| x |S|`` block of ``S = supp(target)`` and the
 general density formula, which the runner's ``O(|S|)`` Kraus sum replaced.
 The density-matrix layer the library no longer ships lives here alone:
-``check_density`` and ``psd_sqrt``, the three fidelity routes
-(``fidelity_pure``, the general ``fidelity_density`` and the pure-target
-shortcut ``fidelity_pure_target``) and ``apply_channel``, the channel on a
-density matrix from the ``kraus_set`` diagonals in ``O(dim^2)``.
+``check_density``, ``psd_sqrt`` and the pure-state check ``_check_pure``, the
+three fidelity routes (``fidelity_pure``, the general ``fidelity_density`` and
+the pure-target shortcut ``fidelity_pure_target``) and ``apply_channel``, the
+channel on a density matrix from the ``kraus_set`` diagonals in ``O(dim^2)``.
+``iterate`` applies the step ``t`` times to a state, as the runner does.
 ``reference_write_csv``, ``reference_render_svg`` and
 ``reference_write_matrix_csv`` are the writers as they were before they
 formatted from ``tolist()`` and numpy coordinate arrays: one numpy scalar at
@@ -49,16 +50,14 @@ from qwalk.channels import (
     oun_channel,
     rtn_channel,
 )
-from qwalk.graphs import DirectedEdgeSpace
+from qwalk.graphs import DirectedEdgeSpace, Graph, edge_space
 from qwalk.operators import (
+    NORM_ATOL,
     UNITARY_ATOL,
-    _check_pure,
     WalkOperators,
-    WalkSpec,
     WalkStep,
     receiver_state,
     sender_state,
-    walk_spec,
     walk_step,
 )
 from qwalk.output import (
@@ -136,6 +135,16 @@ def check_density(rho, dim: int | None = None, name: str = "rho") -> np.ndarray:
     return rho
 
 
+def _check_pure(psi, name: str) -> np.ndarray:
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1:
+        raise ValueError(f"{name} must be a vector, got shape {psi.shape}")
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > NORM_ATOL:
+        raise ValueError(f"{name} is not normalized: |{name}| = {norm:.12g}")
+    return psi
+
+
 def fidelity_pure(psi, phi) -> float:
     """``|<psi|phi>|^2`` for two normalized state vectors."""
     psi = _check_pure(psi, "psi")
@@ -200,13 +209,14 @@ def grover_diffusion(d: int) -> np.ndarray:
     return (2.0 / d) * np.ones((d, d)) - np.eye(d)
 
 
-def coin_operator(spec: WalkSpec) -> np.ndarray:
+def coin_operator(graph: Graph, sender: int, receiver: int) -> np.ndarray:
     """Block-diagonal coin: per-vertex Grover blocks, sender/receiver negated."""
-    coin = np.zeros((spec.space.dim, spec.space.dim))
-    marked = {spec.sender, spec.receiver}
-    for v in range(spec.graph.n):
-        start, stop = spec.space.starts[v : v + 2]
-        block = grover_diffusion(spec.graph.degree(v))
+    space = edge_space(graph)
+    coin = np.zeros((space.dim, space.dim))
+    marked = {sender, receiver}
+    for v in range(graph.n):
+        start, stop = space.starts[v : v + 2]
+        block = grover_diffusion(graph.degree(v))
         if v in marked:
             block = -block
         coin[start:stop, start:stop] = block
@@ -220,11 +230,18 @@ def shift_operator(space: DirectedEdgeSpace) -> np.ndarray:
     return shift
 
 
-def dense_walk_operators(spec: WalkSpec) -> WalkOperators:
+def dense_walk_operators(graph: Graph, sender: int, receiver: int) -> WalkOperators:
     """The coin, shift and step ``shift @ coin`` assembled as dense matrices."""
-    coin = coin_operator(spec)
-    shift = shift_operator(spec.space)
+    coin = coin_operator(graph, sender, receiver)
+    shift = shift_operator(edge_space(graph))
     return WalkOperators(coin=coin, shift=shift, unitary=shift @ coin)
+
+
+def iterate(step: WalkStep, psi: np.ndarray, t: int) -> np.ndarray:
+    """``psi`` after ``t`` applications of ``step``."""
+    for _ in range(t):
+        psi = step(psi)
+    return psi
 
 
 def reference_step(step: WalkStep, psi: np.ndarray) -> np.ndarray:
@@ -333,10 +350,9 @@ def stepwise_series(sc) -> tuple[np.ndarray, np.ndarray | None]:
     :func:`dephased_fidelity` evaluate ``psi_t`` on their own; ``noisy`` is
     None without noise.
     """
-    spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
-    step = walk_step(spec)
-    psi = sender_state(spec)
-    target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
+    step = walk_step(scenario_graph(sc), sc.sender, sc.receiver)
+    psi = sender_state(step)
+    target = psi if sc.mode == "periodicity" else receiver_state(step, sc.receiver_mode)
     channel = None
     if sc.noise == "rtn":
         channel = rtn_channel(a=sc.rtn_a, gamma=sc.rtn_gamma)

@@ -11,7 +11,7 @@ import pytest
 
 from qwalk.channels import kraus_set, oun_channel, rtn_channel
 from qwalk.cli import main
-from qwalk.operators import sender_state, walk_spec, walk_unitary
+from qwalk.operators import sender_state, walk_step, walk_unitary
 from qwalk.scenarios import Scenario, case_study_scenarios, peak_steps, run_scenario
 from qwalk.graphs import standard_family
 
@@ -36,9 +36,9 @@ def suite():
     return {name: run_scenario(sc) for name, sc in case_study_scenarios()}
 
 
-def case_ops(family: str, s: int, r: int):
+def case_step(family: str, s: int, r: int):
     kind, size = FAMILY_BUILDERS[family]
-    return walk_spec(standard_family(kind, *size), s, r)
+    return walk_step(standard_family(kind, *size), s, r)
 
 
 def test_criterion_1_path_perfect_transfer():
@@ -126,7 +126,7 @@ def test_criterion_6_operator_structure():
     worst_structure = 0.0
     worst_golden = 0.0
     for family, s, r in CASE_SPECS:
-        ops = walk_unitary(case_ops(family, s, r))
+        ops = walk_unitary(case_step(family, s, r))
         eye = np.eye(ops.dim)
         worst_structure = max(
             worst_structure,
@@ -178,9 +178,9 @@ def test_criterion_7_fidelity_formula_equivalence():
 def test_criterion_8_evolution_oracle():
     worst = 0.0
     for family, s, r in CASE_SPECS:
-        spec = case_ops(family, s, r)
-        ops = walk_unitary(spec)
-        psi0 = sender_state(spec)
+        step = case_step(family, s, r)
+        ops = walk_unitary(step)
+        psi0 = sender_state(step)
         psi = psi0
         for t in range(1, 51):
             psi = ops.unitary @ psi

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from qwalk.cli import main
 from qwalk.graphs import cycle_graph, path_graph
-from qwalk.operators import walk_spec
+from qwalk.operators import WalkStep
 from qwalk.output import write_matrix_csv
+from qwalk.scenarios import Scenario
 
 from .oracles import dense_walk_operators
 
@@ -120,7 +122,7 @@ def test_dump_operators(tmp_path):
             ]
         )
         assert code == 0
-        dense = dense_walk_operators(walk_spec(graph, sender, receiver))
+        dense = dense_walk_operators(graph, sender, receiver)
         for name in ("coin", "shift", "unitary"):
             write_matrix_csv(getattr(dense, name), expected / f"{name}.csv")
             assert (out / f"{name}.csv").read_bytes() == (expected / f"{name}.csv").read_bytes(), (
@@ -131,15 +133,15 @@ def test_dump_operators(tmp_path):
 def test_dump_operators_reports_a_failed_operator_check_with_exit_three(
     tmp_path, capsys, monkeypatch
 ):
-    import qwalk.operators
+    import qwalk.cli
 
-    real_walk_step = qwalk.operators.walk_step
+    real_walk_step = qwalk.cli.walk_step
 
-    def doubled_walk_step(spec):
-        step = real_walk_step(spec)
+    def doubled_walk_step(graph, sender, receiver):
+        step = real_walk_step(graph, sender, receiver)
         return replace(step, sign=2.0 * step.sign)
 
-    monkeypatch.setattr(qwalk.operators, "walk_step", doubled_walk_step)
+    monkeypatch.setattr(qwalk.cli, "walk_step", doubled_walk_step)
     code = main(
         [
             "dump-operators", "--graph", "cycle", "--size", "6", "--sender", "0",
@@ -310,11 +312,12 @@ def test_run_reports_norm_drift_as_an_internal_error(tmp_path, capsys, monkeypat
 
     real_walk_step = qwalk.scenarios.walk_step
 
-    def leaky_walk_step(spec):
-        step = real_walk_step(spec)
-        return lambda psi: step(psi) * (1.0 + 1e-11)
+    class LeakyStep(WalkStep):
+        def __call__(self, psi):
+            return super().__call__(psi) * (1.0 + 1e-11)
 
-    monkeypatch.setattr(qwalk.scenarios, "walk_step", leaky_walk_step)
+    monkeypatch.setattr(qwalk.scenarios, "walk_step",
+                        lambda *walk: LeakyStep(**vars(real_walk_step(*walk))))
     # (1 + 1e-11)**100 - 1 = 1e-9: a defect of the step, not of the input
     code = main(
         [
@@ -326,6 +329,31 @@ def test_run_reports_norm_drift_as_an_internal_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("internal error: state norm drifted by 1e-09 over 100 steps")
+    assert not list(tmp_path.iterdir())
+
+
+def test_run_reports_a_fidelity_beyond_round_off_as_an_internal_error(tmp_path, capsys,
+                                                                       monkeypatch):
+    import qwalk.scenarios
+
+    real_walk = qwalk.scenarios._walk
+
+    def shifted_walk(sc, kinds):
+        kept, flipped, checks = real_walk(sc, kinds)
+        return kept + 0.5, flipped, checks
+
+    monkeypatch.setattr(qwalk.scenarios, "_walk", shifted_walk)
+    # C6 0->3 starts with no weight on the target: kept = 0 at t=0, 1.5 at its peak
+    code = main(
+        [
+            "run", "--graph", "cycle", "--size", "6", "--sender", "0", "--receiver", "3",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "internal error: fidelity 1.5 outside [0, 1] beyond round-off\n"
+    )
     assert not list(tmp_path.iterdir())
 
 
@@ -352,17 +380,16 @@ def test_run_names_the_key_whose_value_fails_to_convert(tmp_path, capsys, config
 
 
 def test_run_reports_broken_edge_space_with_exit_three(tmp_path, capsys, monkeypatch):
-    import qwalk.scenarios
+    import qwalk.operators
 
-    real_walk_spec = qwalk.scenarios.walk_spec
+    real_edge_space = qwalk.operators.edge_space
 
-    def broken_walk_spec(graph, sender, receiver):
-        spec = real_walk_spec(graph, sender, receiver)
-        dim = spec.space.dim
-        rotated = (np.arange(dim) + 1) % dim  # not an involution
-        return replace(spec, space=replace(spec.space, reverse_of=rotated))
+    def broken_edge_space(graph):
+        space = real_edge_space(graph)
+        rotated = (np.arange(space.dim) + 1) % space.dim  # not an involution
+        return replace(space, reverse_of=rotated)
 
-    monkeypatch.setattr(qwalk.scenarios, "walk_spec", broken_walk_spec)
+    monkeypatch.setattr(qwalk.operators, "edge_space", broken_edge_space)
     code = main(
         [
             "run", "--graph", "cycle", "--size", "6", "--sender", "0", "--receiver", "3",
@@ -433,8 +460,8 @@ def test_dump_operators_rejects_dims_above_dense_limit_before_assembly(
 ):
     import qwalk.cli
 
-    def assembly(spec):
-        raise RuntimeError(f"assembly reached at dim {spec.space.dim}")
+    def assembly(step):
+        raise RuntimeError(f"assembly reached at dim {step.dim}")
 
     monkeypatch.setattr(qwalk.cli, "walk_unitary", assembly)
     # a cycle on n vertices has walk dimension 2n
@@ -449,6 +476,46 @@ def test_dump_operators_rejects_dims_above_dense_limit_before_assembly(
     # at the limit itself the guard passes and assembly is reached
     assert main(argv + ["--size", str(qwalk.cli.DUMP_MAX_DIM // 2)]) == 3
     assert f"assembly reached at dim {qwalk.cli.DUMP_MAX_DIM}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph", ["family", "file"])
+def test_dump_operators_refuses_a_large_graph_before_building_its_basis(tmp_path, capsys,
+                                                                         monkeypatch, graph):
+    import qwalk.operators
+
+    def unreachable(graph):
+        raise AssertionError("an edge space was built for a graph dump-operators refuses")
+
+    monkeypatch.setattr(qwalk.operators, "edge_space", unreachable)
+    if graph == "family":
+        argv = ["--graph", "cycle", "--size", "1025"]
+    else:
+        path = tmp_path / "c1025.txt"
+        path.write_text("1025\n" + "".join(f"{i} {(i + 1) % 1025}\n" for i in range(1025)))
+        argv = ["--graph", f"file:{path}"]
+    code = main(
+        ["dump-operators", *argv, "--sender", "0", "--receiver", "5",
+         "--out", str(tmp_path / "ops")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: dump-operators writes dense matrices only up to walk dimension 2048; "
+        "this graph has 2050\n"
+    )
+    assert not (tmp_path / "ops").exists()
+
+
+def test_run_help_shows_the_scenario_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    out = capsys.readouterr().out
+    # the option list, past the usage line, with its wrapping undone
+    options = " ".join(out[out.index("show this help message"):].split())
+    defaults = {f.name: f.default for f in fields(Scenario)}
+    for key in ("receiver_mode", "rtn_a", "rtn_gamma", "oun_lambda", "oun_gamma", "steps"):
+        flag = "--" + key.replace("_", "-")
+        shown = re.search(rf"{flag} \S+ [^()]*\(default ([^)]*)\)", options)[1]
+        assert type(defaults[key])(shown) == defaults[key], (key, shown)
 
 
 @pytest.mark.parametrize("family, size, arcs", [

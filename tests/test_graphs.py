@@ -310,6 +310,28 @@ def test_parse_graph_file_names_line_of_bad_integer(text, lineno, field):
         parse_graph_file(text)
 
 
+@pytest.mark.parametrize(
+    "text, lineno, field",
+    [
+        ("3\n0 1\n1 9999999999999999999\n", 3, "9999999999999999999"),
+        ("3\n0 1\n1 -99999999999999999999\n", 3, "-99999999999999999999"),
+        ("3\n0 1\n1 9223372036854775808\n", 3, "9223372036854775808"),
+        ("9999999999999999999\n0 1\n1 2\n", 1, "9999999999999999999"),
+    ],
+    ids=["19_digit_endpoint", "20_digit_negative_endpoint", "2_to_the_63", "19_digit_count"],
+)
+def test_parse_graph_file_names_line_of_integer_beyond_int64(text, lineno, field):
+    message = f"^line {lineno}: integer '{field}' in '.*' does not fit in int64$"
+    with pytest.raises(ValueError, match=message):
+        parse_graph_file(text)
+
+
+def test_largest_int64_endpoint_reaches_the_range_check():
+    message = r"^edge \(1, 9223372036854775807\) has an endpoint outside 0\.\.2$"
+    with pytest.raises(ValueError, match=message):
+        parse_graph_file("3\n0 1\n1 9223372036854775807\n")
+
+
 _C11 = "11\n" + "".join(f"{i} {(i + 1) % 11}\n" for i in range(11))
 
 

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from qwalk.graphs import cycle_graph, path_graph, star_graph
-from qwalk.operators import walk_spec, walk_unitary
+from qwalk.operators import walk_step, walk_unitary
 
 from .oracles import check_density, naive_matmul, psd_sqrt, random_density, random_pure
 
 
 def test_matmul_against_triple_loop_on_walk_operators():
-    spec = walk_spec(path_graph(5), 0, 4)
-    ops = walk_unitary(spec)
+    ops = walk_unitary(walk_step(path_graph(5), 0, 4))
     assert np.abs(ops.unitary - naive_matmul(ops.shift, ops.coin)).max() < 1e-15
 
 
@@ -30,7 +29,7 @@ def test_matmul_associativity():
     # the step may be applied factor by factor: (S C) psi == S (C psi)
     rng = np.random.default_rng(2)
     for graph in (path_graph(5), cycle_graph(6), star_graph(6)):
-        ops = walk_unitary(walk_spec(graph, 0, 1))
+        ops = walk_unitary(walk_step(graph, 0, 1))
         for _ in range(3):
             psi = random_pure(rng, ops.dim)
             assert np.abs(ops.unitary @ psi - ops.shift @ (ops.coin @ psi)).max() < 1e-12

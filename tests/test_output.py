@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qwalk.graphs import build_graph, cycle_graph, path_graph
-from qwalk.operators import walk_spec, walk_unitary
+from qwalk.operators import walk_step, walk_unitary
 from qwalk.output import render_svg, write_csv, write_matrix_csv
 from qwalk.scenarios import FidelitySeries, Scenario, paper_suite, run_scenario
 
@@ -128,11 +128,11 @@ def test_matrix_csv_rejects_non_matrix(tmp_path):
 def test_matrix_csv_matches_the_per_element_writer_byte_for_byte(tmp_path):
     rng = np.random.default_rng(52)
     n = 9
-    specs = [walk_spec(cycle_graph(6), 0, 3), walk_spec(path_graph(5), 0, 4),
-             walk_spec(build_graph(n, random_simple_graph(rng, n)), 0, n - 1)]
+    steps = [walk_step(cycle_graph(6), 0, 3), walk_step(path_graph(5), 0, 4),
+             walk_step(build_graph(n, random_simple_graph(rng, n)), 0, n - 1)]
     negative_zeros = 0
-    for spec in specs:
-        ops = walk_unitary(spec)
+    for step in steps:
+        ops = walk_unitary(step)
         for matrix in (ops.coin, ops.shift, ops.unitary):
             write_matrix_csv(matrix, tmp_path / "new.csv")
             reference_write_matrix_csv(matrix, tmp_path / "old.csv")

@@ -3,7 +3,8 @@
 The array graph layer is checked against the reference; the matrix-free
 step, and ``walk_unitary`` bitwise (signs of zero included), against the
 dense Grover assembly, and the in-place step bitwise against its
-out-of-place expression; the bulk graph-file parse against the line parser;
+out-of-place expression; the boundary states bitwise against the edge
+space's block slices; the bulk graph-file parse against the line parser;
 and the scenario parsers and runner against their contracts (only
 ``ValueError`` on bad input, fidelities in [0, 1], a state norm within 1e-10
 of 1 after 10^4 steps).
@@ -24,7 +25,6 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from qwalk.operators import NORM_ATOL, evolve_pure
 from qwalk.graphs import (
     _PLAIN_GRAPH_FILE,
     Graph,
@@ -33,7 +33,7 @@ from qwalk.graphs import (
     edge_space,
     parse_graph_file,
 )
-from qwalk.operators import receiver_state, sender_state, walk_spec, walk_step, walk_unitary
+from qwalk.operators import NORM_ATOL, receiver_state, sender_state, walk_step, walk_unitary
 from qwalk.scenarios import (
     Scenario,
     parse_scenario_config,
@@ -45,6 +45,7 @@ from qwalk.scenarios import (
 from .oracles import (
     arcs,
     dense_walk_operators,
+    iterate,
     random_pure,
     reference_edge_space,
     reference_graph,
@@ -146,23 +147,48 @@ def test_walk_step_matches_dense_unitary_on_random_graphs(graph_input, data):
     n, edges = graph_input
     sender = data.draw(st.integers(0, n - 1), label="sender")
     receiver = data.draw(st.integers(0, n - 1), label="receiver")
-    spec = walk_spec(build_graph(n, edges), sender, receiver)
-    step, dense = walk_step(spec), dense_walk_operators(spec)
-    ops = walk_unitary(spec)
+    graph = build_graph(n, edges)
+    step, dense = walk_step(graph, sender, receiver), dense_walk_operators(graph, sender, receiver)
+    ops = walk_unitary(step)
     for name in ("coin", "shift", "unitary"):
         got, expected = getattr(ops, name), getattr(dense, name)
         assert np.array_equal(got, expected), name
         assert np.array_equal(np.signbit(got), np.signbit(expected)), name
     unitary = dense.unitary
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    free = dense = random_pure(rng, spec.space.dim)
+    free = dense = random_pure(rng, step.dim)
     for t in range(1, 21):
         free, dense = step(free), unitary @ dense
         assert np.abs(free - dense).max() <= 1e-12, t
 
     ref_space = reference_edge_space(reference_graph(n, edges))
-    support = np.flatnonzero(receiver_state(spec, "incoming")).tolist()
+    support = np.flatnonzero(receiver_state(step, "incoming")).tolist()
     assert support == list(ref_space.in_edges[receiver])
+
+
+@_settings(max_examples=150)
+@given(graph_inputs(), st.data())
+def test_boundary_states_are_the_edge_space_blocks_bitwise(graph_input, data):
+    # the states read their arcs off the step; the edge space's block slices
+    # give the same vectors, bit for bit
+    n, edges = graph_input
+    sender = data.draw(st.integers(0, n - 1), label="sender")
+    receiver = data.draw(st.integers(0, n - 1), label="receiver")
+    graph = build_graph(n, edges)
+    step, space = walk_step(graph, sender, receiver), edge_space(graph)
+
+    def block_state(v: int, incoming: bool) -> np.ndarray:
+        start, stop = space.starts[v:v + 2]
+        psi = np.zeros(space.dim, dtype=complex)
+        psi[space.reverse_of[start:stop] if incoming else slice(start, stop)] = (
+            1.0 / np.sqrt(stop - start)
+        )
+        return psi
+
+    assert _bits(sender_state(step)) == _bits(block_state(sender, incoming=False))
+    for mode in ("incoming", "outgoing"):
+        expected = block_state(receiver, incoming=mode == "incoming")
+        assert _bits(receiver_state(step, mode)) == _bits(expected), mode
 
 
 @_settings(max_examples=100)
@@ -171,7 +197,7 @@ def test_walk_step_on_a_block_equals_stepping_each_column(graph_input, k, data):
     n, edges = graph_input
     sender = data.draw(st.integers(0, n - 1), label="sender")
     receiver = data.draw(st.integers(0, n - 1), label="receiver")
-    step = walk_step(walk_spec(build_graph(n, edges), sender, receiver))
+    step = walk_step(build_graph(n, edges), sender, receiver)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     block = rng.normal(size=(step.dim, k)) + 1j * rng.normal(size=(step.dim, k))
     stepped = step(block)
@@ -192,7 +218,7 @@ def test_in_place_step_equals_the_out_of_place_expression_bitwise(graph_input, k
     n, edges = graph_input
     sender = data.draw(st.integers(0, n - 1), label="sender")
     receiver = data.draw(st.integers(0, n - 1), label="receiver")
-    step = walk_step(walk_spec(build_graph(n, edges), sender, receiver))
+    step = walk_step(build_graph(n, edges), sender, receiver)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     block = rng.normal(size=(step.dim, k)) + 1j * rng.normal(size=(step.dim, k))
     # zeros of both signs in either part, so the step's own zeros meet signed ones
@@ -394,8 +420,8 @@ def test_norm_drift_stays_bounded_over_ten_thousand_steps(graph_input, data):
     n, edges = graph_input
     sender = data.draw(st.integers(0, n - 1), label="sender")
     receiver = data.draw(st.integers(0, n - 1), label="receiver")
-    spec = walk_spec(build_graph(n, edges), sender, receiver)
-    psi = evolve_pure(walk_step(spec), sender_state(spec), 10**4)
+    step = walk_step(build_graph(n, edges), sender, receiver)
+    psi = iterate(step, sender_state(step), 10**4)
     assert NORM_ATOL == 1e-10
     assert abs(float(np.linalg.norm(psi)) - 1.0) <= NORM_ATOL
     with tempfile.TemporaryDirectory() as tmp:

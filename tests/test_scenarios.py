@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from qwalk.channels import _kernel_series, oun_channel, rtn_channel
-from qwalk.graphs import path_graph, star_graph
-from qwalk.operators import NORM_ATOL, evolve_pure, receiver_state, sender_state, walk_spec, walk_step
+from qwalk.graphs import edge_space, path_graph, star_graph
+from qwalk.operators import NORM_ATOL, WalkStep, receiver_state, sender_state, walk_step
 from qwalk.scenarios import (
     _NORM_DRIFT_PER_STEP,
     MAX_STEPS,
@@ -29,6 +29,7 @@ from .oracles import (
     dense_kraus_set,
     dense_walk_operators,
     fidelity_density,
+    iterate,
     random_simple_graph,
     stepwise_series,
     support_block_fidelity,
@@ -150,8 +151,8 @@ def _drift_bound(steps: int) -> float:
 def test_norm_drift_bound_covers_the_measured_linear_drift():
     # S6 1->0 drifts linearly, about 0.12 eps per step: 2.7e-12 at 10^5 steps
     steps = 10**5
-    spec = walk_spec(star_graph(6), 1, 0)
-    psi = evolve_pure(walk_step(spec), sender_state(spec), steps)
+    step = walk_step(star_graph(6), 1, 0)
+    psi = iterate(step, sender_state(step), steps)
     drift = abs(float(np.linalg.norm(psi)) - 1.0)
     assert 1e-12 < drift < _drift_bound(steps) / 10
     # the bound at the longest run exceeds the drift extrapolated linearly to it
@@ -165,11 +166,12 @@ def test_norm_drift_guard_flags_a_steady_change_of_1e_14_per_step(monkeypatch):
 
     real_walk_step = qwalk.scenarios.walk_step
 
-    def leaky_walk_step(spec):
-        step = real_walk_step(spec)
-        return lambda psi: step(psi) * (1.0 + 1e-14)
+    class LeakyStep(WalkStep):
+        def __call__(self, psi):
+            return super().__call__(psi) * (1.0 + 1e-14)
 
-    monkeypatch.setattr(qwalk.scenarios, "walk_step", leaky_walk_step)
+    monkeypatch.setattr(qwalk.scenarios, "walk_step",
+                        lambda *walk: LeakyStep(**vars(real_walk_step(*walk))))
     sc = Scenario(graph="path", size=(5,), sender=0, receiver=4, steps=20_000)
     # (1 + 1e-14)**20000 - 1 = 2e-10, above NORM_ATOL + 4 eps * 20000 = 1.18e-10
     with pytest.raises(RuntimeError, match=r"drifted by 2e-10 over 20000 steps \(bound 1.18e-10\)"):
@@ -288,10 +290,11 @@ def test_noisy_series_matches_dense_channel_at_every_step(tmp_path):
     assert len(cases) == 22 + 12
     for name, sc in cases:
         series = run_scenario(sc)
-        spec = walk_spec(scenario_graph(sc), sc.sender, sc.receiver)
-        ops = dense_walk_operators(spec)
-        psi = sender_state(spec)
-        target = psi if sc.mode == "periodicity" else receiver_state(spec, sc.receiver_mode)
+        graph = scenario_graph(sc)
+        ops = dense_walk_operators(graph, sc.sender, sc.receiver)
+        step = walk_step(graph, sc.sender, sc.receiver)
+        psi = sender_state(step)
+        target = psi if sc.mode == "periodicity" else receiver_state(step, sc.receiver_mode)
         sigma = np.outer(target, target.conj())
         if sc.noise == "rtn":
             channel = rtn_channel(a=sc.rtn_a, gamma=sc.rtn_gamma)
@@ -333,9 +336,9 @@ def test_paper_suite_walks_each_family_once(monkeypatch):
 
     real, built = qwalk.scenarios.walk_step, []
 
-    def spy(spec):
-        built.append(spec)
-        return real(spec)
+    def spy(graph, sender, receiver):
+        built.append((graph, sender, receiver))
+        return real(graph, sender, receiver)
 
     monkeypatch.setattr(qwalk.scenarios, "walk_step", spy)
     suite = paper_suite()
@@ -383,7 +386,7 @@ def test_run_memory_does_not_grow_with_steps(tmp_path):
     n = 90
     graph = _write_graph_file(tmp_path / "g.txt", n, random_simple_graph(rng, n))
     short = Scenario(graph=graph, sender=0, receiver=n - 1, noise="rtn", steps=25)
-    dim = walk_spec(scenario_graph(short), 0, n - 1).space.dim
+    dim = edge_space(scenario_graph(short)).dim
     assert dim >= 200
 
     def peak(sc: Scenario) -> int:
@@ -404,7 +407,7 @@ def test_noisy_hub_run_grows_with_steps_only_through_its_series():
     # check, not psi on the receiver's 199 in-arcs: 1000 more steps may add a
     # few float64 series to the peak (kept and flipped are allocated up front)
     sc = Scenario(graph="star", size=(200,), sender=1, receiver=0, noise="rtn", steps=100)
-    assert np.count_nonzero(receiver_state(walk_spec(scenario_graph(sc), 1, 0), "incoming")) == 199
+    assert np.count_nonzero(receiver_state(walk_step(scenario_graph(sc), 1, 0), "incoming")) == 199
 
     def peak(steps: int) -> int:
         tracemalloc.start()
@@ -437,7 +440,7 @@ def test_run_scenario_never_assembles_dense_operators(monkeypatch):
 
 def test_noiseless_run_allocates_no_dense_matrix():
     sc = Scenario(graph="cycle", size=(500,), sender=0, receiver=250, steps=50)
-    dim = walk_spec(scenario_graph(sc), 0, 250).space.dim
+    dim = edge_space(scenario_graph(sc)).dim
     assert dim >= 1000
     run_scenario(replace(sc, steps=1))  # warm caches outside the measurement
     tracemalloc.start()
@@ -454,7 +457,7 @@ def test_noisy_run_allocates_no_dense_matrix():
     # stays O(dim) in memory too
     for noise in ("rtn", "oun"):
         sc = Scenario(graph="cycle", size=(500,), sender=0, receiver=250, noise=noise, steps=100)
-        dim = walk_spec(scenario_graph(sc), 0, 250).space.dim
+        dim = edge_space(scenario_graph(sc)).dim
         assert dim >= 1000
         run_scenario(replace(sc, steps=1))  # warm caches outside the measurement
         tracemalloc.start()
@@ -606,6 +609,6 @@ def test_family_placement_rejected_before_the_graph_is_built(monkeypatch):
     ):
         with pytest.raises(ValueError, match=message):
             Scenario(**kwargs)
-    # the same wording as WalkSpec, which still guards file graphs
+    # the same wording as walk_step, which still guards file graphs
     with pytest.raises(ValueError, match="receiver vertex 9 outside 0..4"):
-        walk_spec(path_graph(5), 0, 9)
+        walk_step(path_graph(5), 0, 9)
