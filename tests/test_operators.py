@@ -280,6 +280,7 @@ def test_boundary_states_norm_and_support():
         (0, 4, "receiver vertex 4 outside 0..3"),
         (5, 7, "sender vertex 5 outside 0..3"),
     ],
+    ids=["sender_9", "sender_4", "sender_-1", "receiver_-1", "receiver_4", "both_outside"],
 )
 def test_walk_step_rejects_marks_outside_the_graph(monkeypatch, sender, receiver, message):
     import qwalk.operators
